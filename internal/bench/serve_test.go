@@ -5,12 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestServeLoadAgainstStub(t *testing.T) {
-	var hits int
+	var hits atomic.Int64 // handlers run on one goroutine per connection
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Rows [][]float64 `json:"rows"`
@@ -19,7 +20,7 @@ func TestServeLoadAgainstStub(t *testing.T) {
 			http.Error(w, "bad body", http.StatusBadRequest)
 			return
 		}
-		hits++
+		hits.Add(1)
 		json.NewEncoder(w).Encode(map[string]any{"model": "stub", "predictions": []float64{1}})
 	}))
 	defer ts.Close()

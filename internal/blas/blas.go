@@ -140,20 +140,6 @@ func AddScaled(dst []float64, x []float64, alpha float64, y []float64) {
 	}
 }
 
-// SqDist returns the squared Euclidean distance between x and y.
-// It panics on length mismatch.
-func SqDist(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("blas: sqdist length mismatch")
-	}
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return s
-}
-
 // Gemv computes y = alpha*A*x + beta*y for a row-major m×n matrix A
 // stored in a with leading dimension lda. It panics if the operand
 // shapes are inconsistent.
@@ -306,7 +292,9 @@ func Syr(n int, alpha float64, x []float64, a []float64, lda int) {
 
 // NearestRow returns the index of the row of the row-major k×n matrix
 // c closest (squared Euclidean distance) to x, and that distance —
-// the k-means assignment kernel. Ties resolve to the lowest index.
+// the k-means assignment kernel. Ties resolve to the lowest index. Each
+// row is scanned only until it is past the best distance so far
+// (SqDistBounded), which changes no result.
 func NearestRow(x []float64, k, n int, c []float64, ldc int) (best int, dist float64) {
 	checkMatrix(k, n, c, ldc)
 	if len(x) < n {
@@ -314,7 +302,7 @@ func NearestRow(x []float64, k, n int, c []float64, ldc int) (best int, dist flo
 	}
 	dist = math.Inf(1)
 	for i := 0; i < k; i++ {
-		if d2 := SqDist(x[:n], c[i*ldc:i*ldc+n]); d2 < dist {
+		if d2 := sqDist(x[:n], c[i*ldc:i*ldc+n], dist); d2 < dist {
 			best, dist = i, d2
 		}
 	}

@@ -322,16 +322,18 @@ func (e *Engine) allocMapped(rows, cols int) (*mat.Dense, *scratch, error) {
 
 	ms, err := store.CreateMapped(path, int64(rows)*int64(cols))
 	if err != nil {
-		return nil, nil, err
-	}
-	d, err := mat.NewDenseStore(ms, rows, cols)
-	if err != nil {
-		ms.Close()
+		// The file exists by the time truncating or mapping it fails.
 		os.Remove(path)
 		return nil, nil, err
 	}
+	sc := &scratch{Mapped: ms, path: path}
+	d, err := mat.NewDenseStore(ms, rows, cols)
+	if err != nil {
+		sc.Close()
+		return nil, nil, err
+	}
 	d.SetWorkersHint(e.cfg.Workers)
-	return d, &scratch{Mapped: ms, path: path}, nil
+	return d, sc, nil
 }
 
 // trackAlloc registers an allocation's closer for Engine.Close. If
@@ -449,10 +451,16 @@ type scratch struct {
 	path string
 }
 
+// Close unlinks the file and then drops the mapping unsynced: nothing
+// can read a scratch after its release, so writing its dirty pages back
+// first (what Mapped.Close does for datasets) is wasted disk traffic.
 func (s *scratch) Close() error {
-	err := s.Mapped.Close()
-	if rmErr := os.Remove(s.path); rmErr != nil && err == nil && !os.IsNotExist(rmErr) {
-		err = rmErr
+	err := os.Remove(s.path)
+	if os.IsNotExist(err) {
+		err = nil
+	}
+	if dErr := s.Mapped.Discard(); err == nil {
+		err = dErr
 	}
 	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -198,5 +199,64 @@ func TestTransformDatasetPreCancelled(t *testing.T) {
 	}
 	if files := scratchFiles(t, dir); len(files) != 0 {
 		t.Errorf("pre-cancelled transform left files: %v", files)
+	}
+}
+
+// TestScratchReleaseUnlinksAndCounts: releasing a mapped scratch that
+// has dirty pages removes its file (unlink first, then an unsynced
+// unmap), advances Stats().Releases exactly once however often Release
+// is called, and leaves nothing for Engine.Close to do.
+func TestScratchReleaseUnlinksAndCounts(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Config{Mode: MemoryMapped, TempDir: dir})
+	defer e.Close()
+	s, err := e.AllocScratch(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.X.Fill(1.5) // dirty every page
+	files := scratchFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("scratch files before Release: %v", files)
+	}
+	before := e.Stats().Releases
+	if err := s.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Errorf("scratch file after Release: stat err = %v, want not-exist", err)
+	}
+	if got := e.Stats().Releases; got != before+1 {
+		t.Errorf("Releases = %d after one Release, want %d", got, before+1)
+	}
+	if err := s.Release(); err != nil {
+		t.Errorf("second Release: %v", err)
+	}
+	if got := e.Stats().Releases; got != before+1 {
+		t.Errorf("Releases = %d after a second Release, want %d", got, before+1)
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("engine Close after Release: %v", err)
+	}
+}
+
+// TestAllocMappedFailureLeavesNoFile: an allocation the file system
+// refuses (a size no file can have) fails without leaving its temp
+// file or a counted scratch behind.
+func TestAllocMappedFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Config{Mode: MemoryMapped, TempDir: dir})
+	defer e.Close()
+	if _, err := e.AllocScratch(1<<31, 1<<28); err == nil { // 2^62 bytes
+		t.Fatal("allocated a 4 EiB scratch")
+	}
+	if _, err := e.Alloc(1<<31, 1<<28); err == nil {
+		t.Fatal("allocated a 4 EiB matrix")
+	}
+	if files := scratchFiles(t, dir); len(files) != 0 {
+		t.Errorf("failed allocations left files: %v", files)
+	}
+	if st := e.Stats(); st.Allocs != 0 || st.Releases != 0 {
+		t.Errorf("failed allocations counted: %+v", st)
 	}
 }

@@ -158,7 +158,7 @@ func AssignGroups(ctx context.Context, x *mat.Dense, assignments []int, centroid
 // total mass.
 func seedKernel(dist, prev []float64) func(mass *float64, i int, row []float64) {
 	return func(mass *float64, i int, row []float64) {
-		if d2 := blas.SqDist(row, prev); d2 < dist[i] {
+		if d2 := blas.SqDistBounded(row, prev, dist[i]); d2 < dist[i] {
 			dist[i] = d2
 		}
 		*mass += dist[i]
@@ -481,28 +481,29 @@ func initRandom(x *mat.Dense, centroids *mat.Dense, r *rng) (stall float64) {
 
 // Predict returns the nearest-centroid assignment for a single row.
 func (r *Result) Predict(row []float64) int {
-	best, bestC := math.Inf(1), 0
-	k, _ := r.Centroids.Dims()
-	for c := 0; c < k; c++ {
-		if d2 := blas.SqDist(row, r.Centroids.RawRow(c)); d2 < best {
-			best, bestC = d2, c
-		}
-	}
+	bestC, _ := nearestCentroid(row, r.Centroids)
 	return bestC
+}
+
+// nearestCentroid is blas.NearestRow over a centroid matrix: the one
+// nearest-centroid rule (lowest index on ties, distance-bounded scan)
+// behind Predict and Inertia. Like RawRow it
+// panics on a fused view, the only matrix that is not contiguous.
+func nearestCentroid(row []float64, centroids *mat.Dense) (int, float64) {
+	c, ok := centroids.Contiguous()
+	if !ok {
+		panic("kmeans: centroids must be a materialized matrix")
+	}
+	k, d := centroids.Dims()
+	return blas.NearestRow(row, k, d, c, d)
 }
 
 // Inertia computes the clustering cost of arbitrary data under this
 // result's centroids (one scan).
 func Inertia(x *mat.Dense, centroids *mat.Dense) float64 {
-	k, _ := centroids.Dims()
 	var total float64
 	x.ForEachRow(func(i int, row []float64) {
-		best := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if d2 := blas.SqDist(row, centroids.RawRow(c)); d2 < best {
-				best = d2
-			}
-		}
+		_, best := nearestCentroid(row, centroids)
 		total += best
 	})
 	return total

@@ -3,7 +3,6 @@ package kmeans
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"m3/internal/blas"
 	"m3/internal/exec"
@@ -88,6 +87,13 @@ func MiniBatch(ctx context.Context, x *mat.Dense, opts MiniBatchOptions) (*Resul
 		res.Stall += initRandom(x, res.Centroids, r)
 	}
 
+	// One flat view of the centroids for both the steps, which update
+	// them in place through it, and the final pass.
+	centroids, ok := res.Centroids.Contiguous() // K×d heap matrix is always contiguous
+	if !ok {
+		return nil, fmt.Errorf("kmeans: internal: centroid matrix not contiguous")
+	}
+
 	// Per-centroid counts drive the decaying per-center learning
 	// rate η = 1/count (Sculley's update).
 	counts := make([]float64, o.K)
@@ -103,12 +109,7 @@ func MiniBatch(ctx context.Context, x *mat.Dense, opts MiniBatchOptions) (*Resul
 		}
 		batch := x.RowWindow(start, start+o.BatchSize)
 		stall := batch.ForEachRow(func(bi int, row []float64) {
-			best, bestC := math.Inf(1), 0
-			for c := 0; c < o.K; c++ {
-				if d2 := blas.SqDist(row, res.Centroids.RawRow(c)); d2 < best {
-					best, bestC = d2, c
-				}
-			}
+			bestC, _ := blas.NearestRow(row, o.K, d, centroids, d)
 			counts[bestC]++
 			eta := 1 / counts[bestC]
 			// centroid ← (1-η)centroid + η·row
@@ -131,10 +132,6 @@ func MiniBatch(ctx context.Context, x *mat.Dense, opts MiniBatchOptions) (*Resul
 	// Final assignment pass for labels and inertia: one blocked scan
 	// on the shared execution layer (assignments are per-row disjoint,
 	// per-block inertia partials reduce in block order).
-	centroids, ok := res.Centroids.Contiguous()
-	if !ok {
-		return nil, fmt.Errorf("kmeans: internal: centroid matrix not contiguous")
-	}
 	inertia, stall, err := exec.ReduceRows(x.ScanCtx(ctx, o.Workers).Named("kmeans inertia"),
 		func() *float64 { return new(float64) },
 		func(sum *float64, i int, row []float64) {

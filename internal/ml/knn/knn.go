@@ -73,11 +73,16 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 			for ri := lo; ri < hi; ri++ {
 				row := block[(ri-lo)*stride : (ri-lo)*stride+d]
 				for qi := range hs.heaps {
-					d2 := blas.SqDist(row, qRows[qi])
 					h := &hs.heaps[qi]
 					if len(*h) < k {
-						h.push(Neighbor{Index: ri, SqDist: d2})
-					} else if d2 < (*h)[0].SqDist {
+						h.push(Neighbor{Index: ri, SqDist: blas.SqDist(row, qRows[qi])})
+						continue
+					}
+					// A row already past the worst kept neighbor is
+					// abandoned mid-scan; a kept one (strictly nearer)
+					// has its exact distance, so the heap is unchanged.
+					worst := (*h)[0].SqDist
+					if d2 := blas.SqDistBounded(row, qRows[qi], worst); d2 < worst {
 						h.replaceTop(Neighbor{Index: ri, SqDist: d2})
 					}
 				}
@@ -102,13 +107,7 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 	out := make([][]Neighbor, qn)
 	for qi := range acc.heaps {
 		res := []Neighbor(acc.heaps[qi])
-		sort.Slice(res, func(a, b int) bool {
-			//m3vet:allow floateq -- deterministic ordering needs exact distance ties
-			if res[a].SqDist != res[b].SqDist {
-				return res[a].SqDist < res[b].SqDist
-			}
-			return res[a].Index < res[b].Index
-		})
+		sort.Slice(res, func(a, b int) bool { return res[a].before(res[b]) })
 		out[qi] = res
 	}
 	return out, nil
@@ -143,7 +142,20 @@ func Classify(ctx context.Context, refs *mat.Dense, labels []int, queries *mat.D
 	return out, nil
 }
 
-// nheap is a max-heap of neighbors by SqDist (top = worst kept).
+// before is the result order: nearer first, exact distance ties by
+// lower reference index.
+func (n Neighbor) before(o Neighbor) bool {
+	//m3vet:allow floateq -- deterministic ordering needs exact distance ties
+	if n.SqDist != o.SqDist {
+		return n.SqDist < o.SqDist
+	}
+	return n.Index < o.Index
+}
+
+// nheap is a max-heap of neighbors in result order (top = worst kept:
+// the farthest, and among equally far the highest index, so a tie at
+// the k-th place keeps the lower indices). Rows arrive in ascending
+// index, so a newcomer displaces the top only when strictly nearer.
 type nheap []Neighbor
 
 func (h *nheap) push(n Neighbor) {
@@ -151,7 +163,7 @@ func (h *nheap) push(n Neighbor) {
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent].SqDist >= (*h)[i].SqDist {
+		if !(*h)[parent].before((*h)[i]) {
 			break
 		}
 		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
@@ -165,10 +177,10 @@ func (h *nheap) replaceTop(n Neighbor) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < len(*h) && (*h)[l].SqDist > (*h)[largest].SqDist {
+		if l < len(*h) && (*h)[largest].before((*h)[l]) {
 			largest = l
 		}
-		if r < len(*h) && (*h)[r].SqDist > (*h)[largest].SqDist {
+		if r < len(*h) && (*h)[largest].before((*h)[r]) {
 			largest = r
 		}
 		if largest == i {

@@ -2,12 +2,14 @@ package knn
 
 import (
 	"context"
-	"m3/internal/fit"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"m3/internal/blas"
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 )
@@ -222,5 +224,68 @@ func TestSearchCancellation(t *testing.T) {
 	cancel()
 	if _, err := Search(ctx, refs, q, 3, Options{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSearchMatchesBruteForceWithTies: on tables full of duplicated
+// rows (exact distance ties, including ties at the k-th place) Search
+// returns the (distance, index)-sorted prefix of a brute-force scan,
+// bit for bit, for every worker count and k from 1 to the whole table.
+// The width spans several early-abandon checks.
+func TestSearchMatchesBruteForceWithTies(t *testing.T) {
+	const n, d, qn = 96, 300, 7
+	rng := rand.New(rand.NewSource(11))
+	refs := mat.NewDense(n, d)
+	for i := 0; i < n; i++ {
+		if i >= 4 && rng.Intn(2) == 0 {
+			refs.SetRow(i, refs.RawRow(rng.Intn(i))) // duplicate an earlier row
+			continue
+		}
+		for j := 0; j < d; j++ {
+			refs.Set(i, j, rng.NormFloat64())
+		}
+	}
+	queries := mat.NewDense(qn, d)
+	for qi := 0; qi < qn; qi++ {
+		if qi%2 == 0 {
+			queries.SetRow(qi, refs.RawRow(rng.Intn(n))) // distance 0, usually tied
+			continue
+		}
+		for j := 0; j < d; j++ {
+			queries.Set(qi, j, rng.NormFloat64())
+		}
+	}
+
+	brute := make([][]Neighbor, qn)
+	for qi := range brute {
+		all := make([]Neighbor, n)
+		for i := range all {
+			all[i] = Neighbor{Index: i, SqDist: blas.SqDist(refs.RawRow(i), queries.RawRow(qi))}
+		}
+		sort.Slice(all, func(a, b int) bool {
+			if all[a].SqDist != all[b].SqDist {
+				return all[a].SqDist < all[b].SqDist
+			}
+			return all[a].Index < all[b].Index
+		})
+		brute[qi] = all
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for _, k := range []int{1, 5, n} {
+			got, err := Search(context.Background(), refs, queries, k, Options{FitOptions: fit.FitOptions{Workers: workers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range got {
+				for i, nb := range got[qi] {
+					want := brute[qi][i]
+					if nb.Index != want.Index || math.Float64bits(nb.SqDist) != math.Float64bits(want.SqDist) {
+						t.Fatalf("workers %d k %d query %d rank %d: got (%d, %v), brute force (%d, %v)",
+							workers, k, qi, i, nb.Index, nb.SqDist, want.Index, want.SqDist)
+					}
+				}
+			}
+		}
 	}
 }

@@ -324,6 +324,22 @@ func (r *Region) Unmap() error {
 	return firstErr
 }
 
+// Discard releases the mapping without syncing it: for a region whose
+// file has no reader left (an unlinked scratch), where Unmap's msync
+// would write every dirty page to disk only for the kernel to drop it.
+// Discard is idempotent, and a no-op after Unmap.
+func (r *Region) Discard() error {
+	if r.data == nil {
+		return nil
+	}
+	err := syscall.Munmap(r.data)
+	r.data = nil
+	if err != nil {
+		return fmt.Errorf("mmap: munmap: %w", err)
+	}
+	return nil
+}
+
 // Close makes Region satisfy io.Closer; it is equivalent to Unmap.
 func (r *Region) Close() error { return r.Unmap() }
 

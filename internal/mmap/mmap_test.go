@@ -299,3 +299,32 @@ func TestLargeSparseAlloc(t *testing.T) {
 		t.Errorf("sparse mapping unexpectedly dense: %d/%d resident", res, total)
 	}
 }
+
+// TestDiscard: Discard unmaps without a sync, is idempotent, composes
+// with Unmap in either order, and works on a region whose file is
+// already unlinked (the scratch-release order).
+func TestDiscard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scratch.bin")
+	r, err := Alloc(path, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.Bytes() {
+		r.Bytes()[i] = 0xab // dirty every page
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Discard(); err != nil {
+		t.Errorf("second Discard: %v", err)
+	}
+	if err := r.Unmap(); err != nil {
+		t.Errorf("Unmap after Discard: %v", err)
+	}
+	if err := r.Advise(Sequential); err != ErrClosed {
+		t.Errorf("Advise after Discard = %v, want ErrClosed", err)
+	}
+}

@@ -211,6 +211,10 @@ func KMeans(c *cluster.Cluster, data *PartitionedData, opts KMeansOptions) (*KMe
 
 	k, d := opts.K, data.cols
 	centroids := opts.InitCentroids.Clone()
+	flat, ok := centroids.Contiguous() // a clone is a K×d heap matrix
+	if !ok {
+		return nil, fmt.Errorf("sparkml: internal: centroid matrix not contiguous")
+	}
 	sums := make([]float64, k*d)
 	counts := make([]int, k)
 	res := &KMeansResult{Centroids: centroids}
@@ -225,12 +229,7 @@ func KMeans(c *cluster.Cluster, data *PartitionedData, opts KMeansOptions) (*KMe
 		inertia := 0.0
 		for _, part := range data.Parts {
 			part.ForEachRow(func(i int, row []float64) {
-				best, bestC := math.Inf(1), 0
-				for cc := 0; cc < k; cc++ {
-					if d2 := blas.SqDist(row, centroids.RawRow(cc)); d2 < best {
-						best, bestC = d2, cc
-					}
-				}
+				bestC, best := blas.NearestRow(row, k, d, flat, d)
 				inertia += best
 				blas.Axpy(1, row, sums[bestC*d:(bestC+1)*d])
 				counts[bestC]++

@@ -286,6 +286,16 @@ func (m *Mapped) Close() error {
 	return m.region.Unmap()
 }
 
+// Discard is Close without the sync (mmap.Region.Discard): for a store
+// whose backing file is already unlinked.
+func (m *Mapped) Discard() error {
+	m.data = nil
+	if m.view {
+		return nil
+	}
+	return m.region.Discard()
+}
+
 // --- Paged backend (simulated out-of-core) ---------------------------
 
 // Paged couples a real element slice with a simulated virtual-memory
