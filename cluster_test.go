@@ -159,3 +159,51 @@ func TestClusterRejectsSequential(t *testing.T) {
 		t.Fatalf("KNN err = %v, want unsupported-estimator error", err)
 	}
 }
+
+// TestClusterRejectsWhatLocalRejects: option and shape validation
+// lives in each trainer's one driver, so a fit the engine refuses is
+// refused by the cluster too, for the same stated cause.
+func TestClusterRejectsWhatLocalRejects(t *testing.T) {
+	dir := t.TempDir()
+	digits := filepath.Join(dir, "digits.m3")
+	if err := GenerateInfimnist(digits, 300, 3); err != nil {
+		t.Fatal(err)
+	}
+	oneRow := filepath.Join(dir, "one.m3")
+	if err := GenerateInfimnist(oneRow, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, path, cause string
+		est               Estimator
+	}{
+		{"logistic-negative-lambda", digits, "negative lambda -1",
+			LogisticRegression{Binarize: true, Options: LogisticOptions{Lambda: -1}}},
+		{"softmax-negative-lambda", digits, "negative lambda -1",
+			SoftmaxRegression{Classes: 10, Options: LogisticOptions{Lambda: -1}}},
+		{"linear-negative-lambda", digits, "negative lambda -1",
+			LinearRegression{Options: LinearOptions{Lambda: -1}}},
+		{"scaler-on-one-row", oneRow, "need >= 2 rows, got 1",
+			Pipeline{Stages: []Transformer{StandardScaler{}}, Estimator: NaiveBayes{Classes: 10}}},
+		{"pca-more-components-than-features", digits, "785 components exceed 784 features",
+			PrincipalComponents{Options: PCAOptions{Components: InfimnistFeatures + 1}}},
+	}
+
+	cl := startTestCluster(t, 2, dist.WorkerConfig{Mode: InMemory, Workers: 1})
+	eng := New(Config{Mode: InMemory, Workers: 2})
+	defer eng.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := eng.Open(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Fit(context.Background(), tc.est, tbl); err == nil || !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("local fit: err = %v, want %q", err, tc.cause)
+			}
+			if _, err := cl.Fit(context.Background(), tc.est, tc.path); err == nil || !strings.Contains(err.Error(), tc.cause) {
+				t.Errorf("cluster fit: err = %v, want %q", err, tc.cause)
+			}
+		})
+	}
+}

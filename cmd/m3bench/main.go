@@ -1,5 +1,5 @@
 // Command m3bench regenerates the paper's evaluation artifacts on the
-// simulated substrates (see DESIGN.md §2 for the substitutions):
+// simulated substrates (internal/vm, internal/cluster):
 //
 //	m3bench -exp fig1a     # Figure 1a: runtime vs dataset size
 //	m3bench -exp fig1b     # Figure 1b: M3 vs 4x/8x Spark, logreg+kmeans

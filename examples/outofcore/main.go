@@ -1,6 +1,6 @@
 // This example regenerates the shape of Figure 1a at your desk: it
 // sweeps dataset sizes across the RAM boundary of the paper's 32 GB
-// machine (simulated substrate, see DESIGN.md) and prints the
+// machine (simulated substrate, internal/vm) and prints the
 // two-slope linear curve with the knee at RAM size, then fits the
 // runtime model and predicts an unseen size.
 //

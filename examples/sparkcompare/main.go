@@ -3,7 +3,7 @@
 // 8-instance Spark clusters, with the paper's reported numbers
 // alongside for comparison. The distributed runs execute the real
 // algorithm math (their models match M3's exactly); timing comes
-// from the calibrated cluster cost model (see DESIGN.md §2).
+// from the calibrated cluster cost model (internal/cluster).
 //
 // Run:
 //

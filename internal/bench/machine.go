@@ -9,8 +9,7 @@
 //
 // Simulated runs execute the real algorithms (L-BFGS logistic
 // regression, Lloyd k-means) on a scaled-down matrix while paging and
-// cluster costs are accounted at nominal (paper) scale; see DESIGN.md
-// for why this preserves the paper's runtime structure.
+// cluster costs are accounted at nominal (paper) scale.
 package bench
 
 import (

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"m3/internal/fit"
 	"m3/internal/mat"
 	"m3/internal/obs"
 )
@@ -54,14 +55,7 @@ func (ds *Dataset) BinaryLabels(positive float64) []float64 {
 	if ds.Labels == nil {
 		return nil
 	}
-	out := make([]float64, len(ds.Labels))
-	for i, v := range ds.Labels {
-		//m3vet:allow floateq -- class labels are exact ids, never computed
-		if v == positive {
-			out[i] = 1
-		}
-	}
-	return out
+	return fit.BinaryLabels(ds.Labels, positive)
 }
 
 // IntLabels returns the labels as class indices, validating that every
@@ -70,16 +64,7 @@ func (ds *Dataset) IntLabels(classes int) ([]int, error) {
 	if ds.Labels == nil {
 		return nil, errors.New("core: dataset has no labels")
 	}
-	out := make([]int, len(ds.Labels))
-	for i, v := range ds.Labels {
-		n := int(v)
-		//m3vet:allow floateq -- integrality check: exact comparison is the test
-		if float64(n) != v || n < 0 || n >= classes {
-			return nil, fmt.Errorf("core: label[%d] = %v not an integer in [0,%d)", i, v, classes)
-		}
-		out[i] = n
-	}
-	return out, nil
+	return fit.IntLabels(ds.Labels, classes)
 }
 
 // Model is a fitted model: single-row and batch prediction plus

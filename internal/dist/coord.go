@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"m3/internal/blas"
 	"m3/internal/exec"
+	"m3/internal/fit"
 	"m3/internal/mat"
 	"m3/internal/ml/bayes"
 	"m3/internal/ml/kmeans"
@@ -88,7 +89,7 @@ type Coordinator struct {
 	opts    Options
 	workers []*workerConn
 	// active are the workers holding shards of the open dataset, in
-	// ascending shard order — the refold order.
+	// ascending shard order — the merge order.
 	active []*workerConn
 
 	path       string
@@ -100,8 +101,6 @@ type Coordinator struct {
 
 	rounds, bytesSent, bytesRecv atomic.Int64
 	stragglerNanos               atomic.Int64
-	// stall accumulates workers' simulated paging stall seconds.
-	stall float64
 }
 
 // DialWorkers connects to every addr (retrying transient failures)
@@ -153,20 +152,18 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Stall returns accumulated simulated paging stall seconds reported
-// by workers (zero on real backends).
-func (c *Coordinator) Stall() float64 { return c.stall }
-
-// call performs one serialized RPC on w. ctx cancellation pokes the
-// connection deadline so a mid-round cancel unblocks promptly.
-func (c *Coordinator) call(ctx context.Context, w *workerConn, op string, reqBody []byte, resp any) error {
+// call performs one serialized RPC on w and returns the reply body.
+// ctx cancellation pokes the connection deadline so a mid-round cancel
+// unblocks promptly.
+func (c *Coordinator) call(ctx context.Context, w *workerConn, req request) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	op := req.label()
 	if w.conn == nil {
-		return fmt.Errorf("dist: worker %s: connection closed", w.addr)
+		return nil, fmt.Errorf("dist: worker %s: connection closed", w.addr)
 	}
 	w.seq++
-	req := request{Seq: w.seq, Op: op, Body: reqBody}
+	req.Seq = w.seq
 	w.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
 	stop := context.AfterFunc(ctx, func() {
 		w.conn.SetDeadline(time.Unix(1, 0))
@@ -176,25 +173,22 @@ func (c *Coordinator) call(ctx context.Context, w *workerConn, op string, reqBod
 	c.bytesSent.Add(int64(sent))
 	bytesSentTotal.With(op).Add(float64(sent))
 	if err != nil {
-		return c.rpcErr(ctx, w, op, err)
+		return nil, c.rpcErr(ctx, w, op, err)
 	}
 	var envelope response
 	recvd, err := readFrame(w.conn, &envelope)
 	c.bytesRecv.Add(int64(recvd))
 	bytesRecvTotal.With(op).Add(float64(recvd))
 	if err != nil {
-		return c.rpcErr(ctx, w, op, err)
+		return nil, c.rpcErr(ctx, w, op, err)
 	}
 	if envelope.Seq != req.Seq {
-		return fmt.Errorf("dist: worker %s: %s: reply %d for request %d", w.addr, op, envelope.Seq, req.Seq)
+		return nil, fmt.Errorf("dist: worker %s: %s: reply %d for request %d", w.addr, op, envelope.Seq, req.Seq)
 	}
 	if envelope.Err != "" {
-		return fmt.Errorf("dist: worker %s: %s", w.addr, envelope.Err)
+		return nil, fmt.Errorf("dist: worker %s: %s", w.addr, envelope.Err)
 	}
-	if resp == nil {
-		return nil
-	}
-	return decodeBody(envelope.Body, resp)
+	return envelope.Body, nil
 }
 
 // rpcErr attributes a transport failure: a canceled context wins over
@@ -206,18 +200,15 @@ func (c *Coordinator) rpcErr(ctx context.Context, w *workerConn, op string, err 
 	return fmt.Errorf("dist: worker %s: %s: %w", w.addr, op, err)
 }
 
-// broadcast sends op with the same request to every active worker in
-// parallel and returns the responses in shard order — one
-// bulk-synchronous round.
-func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any) ([]*Resp, error) {
-	body, err := encodeBody(req)
-	if err != nil {
-		return nil, err
-	}
+// broadcast sends the same request to every active worker in parallel
+// and returns the reply bodies in shard order — one bulk-synchronous
+// round, with its straggler wait accounted.
+func (c *Coordinator) broadcast(ctx context.Context, req request) ([][]byte, error) {
+	op := req.label()
 	sp := obs.StartSpan("dist", "round "+op)
 	defer sp.End()
 	n := len(c.active)
-	out := make([]*Resp, n)
+	out := make([][]byte, n)
 	errs := make([]error, n)
 	durs := make([]time.Duration, n)
 	var wg sync.WaitGroup
@@ -226,12 +217,7 @@ func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any
 		go func(i int, w *workerConn) {
 			defer wg.Done()
 			start := time.Now()
-			var r Resp
-			if err := c.call(ctx, w, op, body, &r); err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = &r
+			out[i], errs[i] = c.call(ctx, w, req)
 			durs[i] = time.Since(start)
 		}(i, w)
 	}
@@ -257,6 +243,50 @@ func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any
 	return out, nil
 }
 
+// source is the open, sharded dataset as the trainers' drivers see it:
+// a fit.Source whose every pass is one broadcast "reduce" round. It is
+// the only place this package meets a data pass, and it meets it as
+// bytes: the argument goes out encoded, and each shard's reply goes —
+// in shard order, which is global row order — to the round's Absorb,
+// which merges that shard's group states in row order.
+type source struct{ c *Coordinator }
+
+// Dims implements fit.Source with the global shape (the view's width
+// once pipeline stages are pushed).
+func (s source) Dims() (int, int) { return s.c.rows, s.c.curCols }
+
+// Shard implements fit.Source: the coordinator holds no rows, so
+// passes build against an empty shard of the dataset's width and
+// labelledness — enough to allocate and merge states.
+func (s source) Shard() *fit.Shard {
+	sh := &fit.Shard{Cols: s.c.curCols}
+	if s.c.hasLabels {
+		sh.Labels = []float64{}
+	}
+	return sh
+}
+
+// Run implements fit.Source.
+func (s source) Run(ctx context.Context, r fit.Round) (float64, error) {
+	arg, err := encodeBody(r.Arg)
+	if err != nil {
+		return 0, err
+	}
+	replies, err := s.c.broadcast(ctx, request{Op: "reduce", Pass: r.Pass, Body: arg})
+	if err != nil {
+		return 0, err
+	}
+	var stall float64
+	for _, reply := range replies {
+		st, err := r.Absorb(reply)
+		if err != nil {
+			return 0, err
+		}
+		stall += st
+	}
+	return stall, nil
+}
+
 // Open shards path across the dialed workers: it probes the file's
 // shape, plans merge-group-aligned contiguous shards, and has each
 // active worker open its row window. Reusable across Fit calls.
@@ -264,12 +294,8 @@ func (c *Coordinator) Open(ctx context.Context, path string) error {
 	if len(c.workers) == 0 {
 		return errors.New("dist: no workers")
 	}
-	body, err := encodeBody(&statReq{Path: path})
-	if err != nil {
-		return err
-	}
 	var st statResp
-	if err := c.call(ctx, c.workers[0], "stat", body, &st); err != nil {
+	if err := c.callOne(ctx, c.workers[0], "stat", &statReq{Path: path}, &st); err != nil {
 		return err
 	}
 	shards, err := PlanShards(st.Rows, len(c.workers))
@@ -290,19 +316,27 @@ func (c *Coordinator) Open(ctx context.Context, path string) error {
 		wg.Add(1)
 		go func(i int, w *workerConn, shard Range) {
 			defer wg.Done()
-			body, err := encodeBody(&openReq{Path: path, Lo: shard.Lo, Hi: shard.Hi, GroupRows: c.groupRows})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var resp openResp
-			errs[i] = c.call(ctx, w, "open", body, &resp)
+			errs[i] = c.callOne(ctx, w, "open",
+				&openReq{Path: path, Lo: shard.Lo, Hi: shard.Hi, GroupRows: c.groupRows}, &openResp{})
 		}(i, w, shard)
 	}
 	wg.Wait()
 	c.rounds.Add(1)
 	roundsTotal.With("open").Inc()
 	return errors.Join(errs...)
+}
+
+// callOne performs one typed RPC on a single worker.
+func (c *Coordinator) callOne(ctx context.Context, w *workerConn, op string, req, resp any) error {
+	body, err := encodeBody(req)
+	if err != nil {
+		return err
+	}
+	reply, err := c.call(ctx, w, request{Op: op, Body: body})
+	if err != nil {
+		return err
+	}
+	return decodeBody(reply, resp)
 }
 
 // Fit opens path (sharded across the workers) and runs the fit spec
@@ -315,261 +349,57 @@ func (c *Coordinator) Fit(ctx context.Context, path string, spec Spec) (any, err
 	if err := c.Open(ctx, path); err != nil {
 		return nil, err
 	}
-	if _, err := broadcast[resetResp](ctx, c, "reset", &resetReq{}); err != nil {
+	if _, err := c.broadcast(ctx, request{Op: "reset"}); err != nil {
 		return nil, err
 	}
 	return c.fitSpec(ctx, spec)
 }
 
-// fitSpec dispatches one estimator or pipeline fit on the open,
-// already-reset shards.
+// fitSpec runs one estimator's or pipeline's own driver over the open,
+// already-reset shards: spec's fields become the trainer's Options and
+// the coordinator is the Source, so validation, defaults and every
+// optimizer step are the ones a local fit executes.
 func (c *Coordinator) fitSpec(ctx context.Context, spec Spec) (any, error) {
+	src := source{c}
 	switch spec.Algo {
 	case "logistic":
-		return c.fitLogistic(ctx, spec)
+		return logreg.TrainOn(ctx, src, spec.Binarize, spec.Positive, logreg.Options{
+			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
+			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
+		})
 	case "softmax":
-		return c.fitSoftmax(ctx, spec)
-	case "linear":
-		return c.fitLinear(ctx, spec)
-	case "linear-exact":
-		return c.fitLinearExact(ctx, spec)
+		return logreg.TrainSoftmaxOn(ctx, src, spec.Classes, logreg.Options{
+			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
+			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
+		})
+	case "linear", "linear-exact":
+		opts := linreg.Options{
+			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
+			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
+		}
+		if spec.Algo == "linear-exact" {
+			return linreg.TrainExactOn(ctx, src, opts)
+		}
+		return linreg.TrainOn(ctx, src, opts)
 	case "bayes":
-		return c.fitBayes(ctx, spec)
+		return bayes.TrainOn(ctx, src, spec.Classes, bayes.Options{VarSmoothing: spec.VarSmoothing})
 	case "kmeans":
 		return c.fitKMeans(ctx, spec)
 	case "pca":
-		return c.fitPCA(ctx, spec)
+		return pca.FitOn(ctx, src, pca.Options{
+			Components: spec.Components, MaxIterations: spec.MaxIterations,
+			Tol: spec.Tol, Seed: spec.Seed,
+		})
 	case "standard-scaler":
-		return c.fitStandard(ctx)
+		return preprocess.FitStandardOn(ctx, src)
 	case "minmax-scaler":
-		return c.fitMinMax(ctx)
+		return preprocess.FitMinMaxOn(ctx, src)
 	case "pipeline":
 		return c.fitPipeline(ctx, spec)
 	case "sgd":
 		return nil, errors.New("dist: SGD is a sequential single-pass trainer; its updates depend on row order across the whole dataset and cannot be sharded — train locally instead")
 	}
 	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algo)
-}
-
-// fitLogistic drives L-BFGS through the shared TrainWith driver; each
-// objective evaluation is one broadcast round whose group partials
-// refold into exactly the local scan's fold.
-func (c *Coordinator) fitLogistic(ctx context.Context, spec Spec) (*logreg.Model, error) {
-	d := c.curCols
-	o := logreg.ResolveOptions(logreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &logreg.RemoteObjective{
-		N: c.rows, D: d, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*logreg.GradPartial, error) {
-			resps, err := broadcast[gradResp](ctx, c, "logreg/grad",
-				&gradReq{Params: params, Intercept: intercept, Binarize: spec.Binarize, Positive: spec.Positive})
-			if err != nil {
-				return nil, err
-			}
-			total := logreg.NewGradPartial(d)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					logreg.MergeGrad(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := logreg.TrainWith(ctx, obj, d, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitSoftmax mirrors fitLogistic for the multiclass objective.
-func (c *Coordinator) fitSoftmax(ctx context.Context, spec Spec) (*logreg.SoftmaxModel, error) {
-	d, k := c.curCols, spec.Classes
-	o := logreg.ResolveOptions(logreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &logreg.RemoteSoftmaxObjective{
-		N: c.rows, D: d, Classes: k, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*logreg.SoftmaxPartial, error) {
-			resps, err := broadcast[softmaxResp](ctx, c, "softmax/grad",
-				&softmaxReq{Params: params, Classes: k, Intercept: intercept})
-			if err != nil {
-				return nil, err
-			}
-			total := logreg.NewSoftmaxPartial(len(params), k)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					logreg.MergeSoftmax(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := logreg.TrainSoftmaxWith(ctx, obj, d, k, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitLinear drives the iterative least-squares path.
-func (c *Coordinator) fitLinear(ctx context.Context, spec Spec) (*linreg.Model, error) {
-	d := c.curCols
-	o := linreg.ResolveOptions(linreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &linreg.RemoteObjective{
-		N: c.rows, D: d, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*linreg.LsqPartial, error) {
-			resps, err := broadcast[lsqResp](ctx, c, "linreg/lsq",
-				&lsqReq{Params: params, Intercept: intercept})
-			if err != nil {
-				return nil, err
-			}
-			total := linreg.NewLsqPartial(d)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					linreg.MergeLsq(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := linreg.TrainWith(ctx, obj, d, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitLinearExact closes the ridge normal equations from one Gram
-// round.
-func (c *Coordinator) fitLinearExact(ctx context.Context, spec Spec) (*linreg.Model, error) {
-	d := c.curCols
-	o := linreg.ResolveOptions(linreg.Options{Lambda: spec.Lambda, NoIntercept: spec.NoIntercept})
-	resps, err := broadcast[gramResp](ctx, c, "linreg/gram", &gramReq{NoIntercept: o.NoIntercept})
-	if err != nil {
-		return nil, err
-	}
-	total := linreg.NewGramPartial(d, o.NoIntercept)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			linreg.MergeGram(total, g.State)
-		}
-	}
-	return linreg.ModelFromGram(total, c.rows, d, o.Lambda, o.NoIntercept)
-}
-
-// fitBayes folds one counting round into the closed-form model.
-func (c *Coordinator) fitBayes(ctx context.Context, spec Spec) (*bayes.Model, error) {
-	d, k := c.curCols, spec.Classes
-	resps, err := broadcast[bayesResp](ctx, c, "bayes/counts", &bayesReq{Classes: k})
-	if err != nil {
-		return nil, err
-	}
-	total := bayes.NewCountPartial(k, d)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			bayes.MergeCounts(total, g.State)
-		}
-	}
-	return bayes.ModelFromCounts(total, c.rows, k, d, bayes.DefaultVarSmoothing(spec.VarSmoothing))
-}
-
-// fitStandard folds one moments round into a standard scaler.
-func (c *Coordinator) fitStandard(ctx context.Context) (*preprocess.StandardScaler, error) {
-	resps, err := broadcast[momentsResp](ctx, c, "moments", &momentsReq{})
-	if err != nil {
-		return nil, err
-	}
-	total := preprocess.NewMoments(c.curCols)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			preprocess.MergeMoments(total, g.State)
-		}
-	}
-	return preprocess.StandardFromMoments(total), nil
-}
-
-// fitMinMax folds one extrema round into a min-max scaler.
-func (c *Coordinator) fitMinMax(ctx context.Context) (*preprocess.MinMaxScaler, error) {
-	resps, err := broadcast[extremaResp](ctx, c, "extrema", &extremaReq{})
-	if err != nil {
-		return nil, err
-	}
-	total := preprocess.NewExtrema(c.curCols)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			preprocess.MergeExtrema(total, g.State)
-		}
-	}
-	return preprocess.MinMaxFromExtrema(total), nil
-}
-
-// fitPCA runs the two distributed data passes (column sums, scatter
-// at the mean) and finishes the decomposition locally — the exact
-// split pca.Fit performs.
-func (c *Coordinator) fitPCA(ctx context.Context, spec Spec) (*pca.Result, error) {
-	n, d := c.rows, c.curCols
-	o, err := pca.ResolveOptions(pca.Options{
-		Components:    spec.Components,
-		MaxIterations: spec.MaxIterations,
-		Tol:           spec.Tol,
-		Seed:          spec.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if o.Components > d {
-		return nil, fmt.Errorf("pca: %d components exceed %d features", o.Components, d)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("pca: need >= 2 rows, got %d", n)
-	}
-	meanResps, err := broadcast[pcaMeanResp](ctx, c, "pca/mean", &pcaMeanReq{})
-	if err != nil {
-		return nil, err
-	}
-	mean := make([]float64, d)
-	for _, r := range meanResps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			pca.MergeSum(mean, g.State)
-		}
-	}
-	blas.Scal(1/float64(n), mean)
-	covResps, err := broadcast[pcaCovResp](ctx, c, "pca/cov", &pcaCovReq{Mean: mean})
-	if err != nil {
-		return nil, err
-	}
-	total := pca.NewCovPartial(d)
-	for _, r := range covResps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			pca.MergeCov(total, g.State)
-		}
-	}
-	return pca.FinishFromCov(ctx, total.Part, mean, n, o)
 }
 
 // fitKMeans runs the shared Lloyd driver over the sharded data plane:
@@ -595,12 +425,7 @@ func (c *Coordinator) fitKMeans(ctx context.Context, spec Spec) (*kmeans.Result,
 		}
 		opts.InitCentroids = init
 	}
-	res, err := kmeans.RunPlane(ctx, &distPlane{c: c}, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.stall += res.Stall
-	return res, nil
+	return kmeans.RunPlane(ctx, plane{kmeans.SourcePlane{Src: source{c}}, c}, opts)
 }
 
 // fitPipeline fits each transformer stage distributively, pushes the
@@ -613,47 +438,11 @@ func (c *Coordinator) fitPipeline(ctx context.Context, spec Spec) (*modelio.Pipe
 	}
 	p := &modelio.Pipeline{}
 	for i, stage := range spec.Stages {
-		var (
-			inner any
-			req   stageReq
-			err   error
-		)
-		switch stage.Algo {
-		case "standard-scaler":
-			var s *preprocess.StandardScaler
-			if s, err = c.fitStandard(ctx); err == nil {
-				inner = s
-				req = stageReq{Kind: "standard", Mean: s.Mean, Std: s.Std}
-			}
-		case "minmax-scaler":
-			var s *preprocess.MinMaxScaler
-			if s, err = c.fitMinMax(ctx); err == nil {
-				inner = s
-				req = stageReq{Kind: "minmax", Min: s.Min, Range: s.Range}
-			}
-		case "pca":
-			var r *pca.Result
-			if r, err = c.fitPCA(ctx, stage); err == nil {
-				inner = r
-				k, d := r.Components.Dims()
-				flat := make([]float64, 0, k*d)
-				for row := 0; row < k; row++ {
-					flat = append(flat, r.Components.RawRow(row)...)
-				}
-				req = stageReq{Kind: "pca", Components: flat, PCAMean: r.Mean, K: k, D: d}
-			}
-		default:
-			err = fmt.Errorf("dist: unsupported pipeline stage %q", stage.Algo)
-		}
+		out, err := c.fitStage(ctx, stage)
 		if err != nil {
 			return nil, fmt.Errorf("dist: pipeline stage %d: %w", i, err)
 		}
-		resps, err := broadcast[stageResp](ctx, c, "stage", &req)
-		if err != nil {
-			return nil, fmt.Errorf("dist: pipeline stage %d: %w", i, err)
-		}
-		c.curCols = resps[0].OutCols
-		p.Stages = append(p.Stages, inner)
+		p.Stages = append(p.Stages, out)
 	}
 
 	// Multi-epoch finals re-scan the transformed data every
@@ -661,12 +450,8 @@ func (c *Coordinator) fitPipeline(ctx context.Context, spec Spec) (*modelio.Pipe
 	// pipeline's single fused materialization pass. Bounded-pass
 	// finals (bayes, exact linear, pca) stream off the fused views.
 	if len(spec.Stages) > 0 && multiEpoch(spec.Final.Algo) {
-		resps, err := broadcast[materializeResp](ctx, c, "materialize", &materializeReq{})
-		if err != nil {
+		if _, err := c.broadcast(ctx, request{Op: "materialize"}); err != nil {
 			return nil, err
-		}
-		for _, r := range resps {
-			c.stall += r.Stall
 		}
 	}
 	final, err := c.fitSpec(ctx, *spec.Final)
@@ -675,6 +460,38 @@ func (c *Coordinator) fitPipeline(ctx context.Context, spec Spec) (*modelio.Pipe
 	}
 	p.Stages = append(p.Stages, final)
 	return p, nil
+}
+
+// fitStage fits one transformer stage on the current views and has
+// every worker fuse it on, shipped as the bytes Save would write.
+func (c *Coordinator) fitStage(ctx context.Context, stage Spec) (any, error) {
+	switch stage.Algo {
+	case "standard-scaler", "minmax-scaler", "pca":
+	default:
+		return nil, fmt.Errorf("dist: unsupported pipeline stage %q", stage.Algo)
+	}
+	fitted, err := c.fitSpec(ctx, stage)
+	if err != nil {
+		return nil, err
+	}
+	var model bytes.Buffer
+	if err := modelio.Save(&model, fitted); err != nil {
+		return nil, err
+	}
+	body, err := encodeBody(&stageReq{Model: model.Bytes()})
+	if err != nil {
+		return nil, err
+	}
+	replies, err := c.broadcast(ctx, request{Op: "stage", Body: body})
+	if err != nil {
+		return nil, err
+	}
+	var resp stageResp
+	if err := decodeBody(replies[0], &resp); err != nil {
+		return nil, err
+	}
+	c.curCols = resp.OutCols
+	return fitted, nil
 }
 
 // multiEpoch reports whether an algorithm re-scans the data across
@@ -688,66 +505,24 @@ func multiEpoch(algo string) bool {
 	return true
 }
 
-// distPlane is the sharded kmeans.DataPlane: assignment and seeding
-// passes are broadcast rounds whose group partials refold in global
-// order; the sequential k-means++ prefix walk chains shard to shard
-// carrying the running accumulator; row fetches route to the owning
-// shard.
-type distPlane struct {
+// plane is the sharded kmeans.DataPlane: the assignment and seeding
+// passes are reduce rounds like any other (the embedded SourcePlane);
+// the sequential k-means++ prefix walk chains shard to shard carrying
+// the running accumulator; row fetches route to the owning shard.
+type plane struct {
+	kmeans.SourcePlane
 	c *Coordinator
-}
-
-// Dims implements kmeans.DataPlane.
-func (p *distPlane) Dims() (int, int) { return p.c.rows, p.c.curCols }
-
-// AssignPass implements kmeans.DataPlane.
-func (p *distPlane) AssignPass(ctx context.Context, centroids []float64, k int) (*kmeans.AssignPartial, float64, error) {
-	resps, err := broadcast[assignResp](ctx, p.c, "kmeans/assign", &assignReq{Centroids: centroids, K: k})
-	if err != nil {
-		return nil, 0, err
-	}
-	total := kmeans.NewAssignPartial(k, p.c.curCols)
-	var stall float64
-	for _, r := range resps {
-		stall += r.Stall
-		for _, g := range r.Groups {
-			kmeans.MergeAssign(total, g.State)
-		}
-	}
-	return total, stall, nil
-}
-
-// SeedPass implements kmeans.DataPlane. The mass folds from zero in
-// global group order — the same fold the local plane's reduction
-// performs.
-func (p *distPlane) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
-	resps, err := broadcast[seedResp](ctx, p.c, "kmeans/seed", &seedReq{Prev: prev})
-	if err != nil {
-		return 0, 0, err
-	}
-	var mass, stall float64
-	for _, r := range resps {
-		stall += r.Stall
-		for _, g := range r.Groups {
-			mass += g.Mass
-		}
-	}
-	return mass, stall, nil
 }
 
 // SamplePrefix implements kmeans.DataPlane: shards are walked in
 // order, each resuming the running prefix sum where the previous
 // left off — the distributed transcription of the flat sequential
 // walk (same additions, same comparisons).
-func (p *distPlane) SamplePrefix(ctx context.Context, target float64) (int, error) {
+func (p plane) SamplePrefix(ctx context.Context, target float64) (int, error) {
 	acc := 0.0
 	for _, w := range p.c.active {
-		body, err := encodeBody(&sampleReq{Acc: acc, Target: target})
-		if err != nil {
-			return 0, err
-		}
 		var resp sampleResp
-		if err := p.c.call(ctx, w, "kmeans/sample", body, &resp); err != nil {
+		if err := p.c.callOne(ctx, w, "kmeans/sample", &sampleReq{Acc: acc, Target: target}, &resp); err != nil {
 			return 0, err
 		}
 		if resp.Found {
@@ -761,15 +536,11 @@ func (p *distPlane) SamplePrefix(ctx context.Context, target float64) (int, erro
 }
 
 // FetchRow implements kmeans.DataPlane, routing to the owning shard.
-func (p *distPlane) FetchRow(ctx context.Context, i int, dst []float64) (float64, error) {
+func (p plane) FetchRow(ctx context.Context, i int, dst []float64) (float64, error) {
 	for _, w := range p.c.active {
 		if i >= w.lo && i < w.hi {
-			body, err := encodeBody(&rowReq{I: i - w.lo})
-			if err != nil {
-				return 0, err
-			}
 			var resp rowResp
-			if err := p.c.call(ctx, w, "row", body, &resp); err != nil {
+			if err := p.c.callOne(ctx, w, "row", &rowReq{I: i - w.lo}, &resp); err != nil {
 				return 0, err
 			}
 			copy(dst, resp.Row)
@@ -781,13 +552,17 @@ func (p *distPlane) FetchRow(ctx context.Context, i int, dst []float64) (float64
 
 // GatherAssignments implements kmeans.DataPlane, concatenating shard
 // assignments in shard order.
-func (p *distPlane) GatherAssignments(ctx context.Context) ([]int, error) {
-	resps, err := broadcast[gatherResp](ctx, p.c, "kmeans/gather", &gatherReq{})
+func (p plane) GatherAssignments(ctx context.Context) ([]int, error) {
+	replies, err := p.c.broadcast(ctx, request{Op: "kmeans/gather"})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, 0, p.c.rows)
-	for _, r := range resps {
+	for _, reply := range replies {
+		var r gatherResp
+		if err := decodeBody(reply, &r); err != nil {
+			return nil, err
+		}
 		out = append(out, r.Assignments...)
 	}
 	return out, nil

@@ -1,11 +1,17 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +19,7 @@ import (
 	"m3/internal/core"
 	"m3/internal/dataset"
 	"m3/internal/exec"
+	"m3/internal/fit"
 	"m3/internal/mat"
 	"m3/internal/ml/bayes"
 	"m3/internal/ml/kmeans"
@@ -21,6 +28,7 @@ import (
 	"m3/internal/ml/modelio"
 	"m3/internal/ml/pca"
 	"m3/internal/ml/preprocess"
+	"m3/internal/obs"
 )
 
 // writeTestData writes a deterministic labelled dataset file and
@@ -512,4 +520,245 @@ func TestMoreWorkersThanGroups(t *testing.T) {
 		t.Fatalf("shards = %d, want 2", c.Shards())
 	}
 	eqFloats(t, "weights", got.(*logreg.Model).Weights, want.Weights)
+}
+
+// scalerStage lets the two pipeline parity tests above name their local
+// reference chain as a core.BlockTransformer. A one-stage chain is only
+// ever asked for its kernel, which is the scaler's own — the same method
+// a worker's fused view calls.
+type scalerStage struct {
+	core.BlockTransformer
+	s *preprocess.StandardScaler
+}
+
+func (t scalerStage) BlockKernel() core.RowKernel { return t.s.BlockKernel() }
+
+// colSums is the state of the test-only pass below: per-column sums
+// plus a row count.
+type colSums struct {
+	Sums []float64
+	Rows int
+}
+
+// colSumsPass and massPass are declared here and nowhere else: no line
+// of worker.go, coord.go or wire.go knows them, so a round of either
+// succeeding is the proof that the reduce op is generic. massPass's
+// state is a bare scalar, which gob drops from the wire whenever it is
+// zero.
+var (
+	colSumsPass = fit.Declare("test/colsums", func(sh *fit.Shard, _ struct{}) (exec.Aggregate[*colSums], error) {
+		d := sh.Cols
+		return exec.Aggregate[*colSums]{
+			Name:  "test colsums",
+			Alloc: func() *colSums { return &colSums{Sums: make([]float64, d)} },
+			Block: exec.EachRow(d, func(st *colSums, _ int, row []float64) {
+				st.Rows++
+				for j, v := range row {
+					st.Sums[j] += v
+				}
+			}),
+			Merge: func(dst, src *colSums) {
+				dst.Rows += src.Rows
+				for j, v := range src.Sums {
+					dst.Sums[j] += v
+				}
+			},
+		}, nil
+	})
+	massPass = fit.Declare("test/mass", func(sh *fit.Shard, scale float64) (exec.Aggregate[*float64], error) {
+		return exec.Aggregate[*float64]{
+			Name:  "test mass",
+			Alloc: func() *float64 { return new(float64) },
+			Block: exec.EachRow(sh.Cols, func(m *float64, _ int, row []float64) { *m += scale * row[0] }),
+			Merge: func(dst, src *float64) { *dst += *src },
+		}, nil
+	})
+)
+
+// TestGenericReduce drives the one reduce op with passes the package
+// has never heard of, over 1, 2 and 5 shards — including more workers
+// than merge groups, and a shard of all-zero rows, whose scalar group
+// states gob omits from the reply — and checks the merged root against
+// exec.ReduceRowBlocks over the whole matrix, bit for bit.
+func TestGenericReduce(t *testing.T) {
+	for _, tc := range []struct{ rows, workers, wantShards int }{
+		{1400, 1, 1}, {1400, 2, 2}, {1400, 5, 5}, {300, 5, 2},
+	} {
+		t.Run(fmt.Sprintf("%drows-%dworkers", tc.rows, tc.workers), func(t *testing.T) {
+			const d = 5
+			// Mixed magnitudes make any change of association change
+			// the bits; rows [512, 768) — the whole of shard 1 of 5 —
+			// are zero.
+			path := t.TempDir() + "/data.m3"
+			w, err := dataset.Create(path, int64(tc.rows), d, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := uint64(0x9e3779b97f4a7c15)
+			row := make([]float64, d)
+			for i := 0; i < tc.rows; i++ {
+				for j := range row {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					row[j] = (float64(rng%2000)/1000 - 1) * []float64{1e-8, 1, 1e8}[rng%3]
+					if i >= 512 && i < 768 {
+						row[j] = 0
+					}
+				}
+				if err := w.WriteRow(row, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			x, _ := openLocal(t, path)
+			local := fit.NewLocal(x, nil, 2)
+
+			ctx := context.Background()
+			c := startCluster(t, tc.workers, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
+			if err := c.Open(ctx, path); err != nil {
+				t.Fatal(err)
+			}
+			if c.Shards() != tc.wantShards {
+				t.Fatalf("shards = %d, want %d", c.Shards(), tc.wantShards)
+			}
+			if _, err := c.broadcast(ctx, request{Op: "reset"}); err != nil {
+				t.Fatal(err)
+			}
+
+			sums, err := colSumsPass.New(local.Shard(), struct{}{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := exec.ReduceRowBlocks(x.Scan(2), sums.Alloc, sums.Block, sums.Merge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := fit.Reduce(ctx, source{c}, colSumsPass, struct{}{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rows != tc.rows || got.Rows != want.Rows {
+				t.Fatalf("rows = %d (local %d), want %d", got.Rows, want.Rows, tc.rows)
+			}
+			eqFloats(t, "column sums", got.Sums, want.Sums)
+
+			mass, err := massPass.New(local.Shard(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMass, _, err := exec.ReduceRowBlocks(x.Scan(2), mass.Alloc, mass.Block, mass.Merge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotMass, _, err := fit.Reduce(ctx, source{c}, massPass, 3.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eqFloats(t, "mass", []float64{*gotMass}, []float64{*wantMass})
+
+			if _, _, err := fit.Reduce(ctx, source{c}, fit.Pass[struct{}, *colSums]{Name: "test/undeclared", New: colSumsPass.New}, struct{}{}); err == nil || !strings.Contains(err.Error(), "unknown pass") {
+				t.Fatalf("undeclared pass: err = %v, want unknown-pass error", err)
+			}
+		})
+	}
+}
+
+// TestRoundMetricsKeepPassNames pins the op label values of the
+// cluster series: one per data pass, though the wire op is one.
+func TestRoundMetricsKeepPassNames(t *testing.T) {
+	path := writeTestData(t, 1100, 6, 10)
+	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
+	before := obs.Default().Snapshot()
+	if _, err := c.Fit(context.Background(), path, Spec{
+		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	delta := obs.Default().Snapshot().Sub(before)
+	for series, want := range map[string][]string{
+		"m3_dist_rounds_total":     {"logreg/grad", "open", "reset"},
+		"m3_dist_worker_ops_total": {"logreg/grad", "open", "reset", "stat"},
+	} {
+		var got []string
+		for key, v := range delta {
+			if op, ok := strings.CutPrefix(key, series+`{op="`); ok && v > 0 {
+				got = append(got, strings.TrimSuffix(op, `"}`))
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s op labels = %q, want %q", series, got, want)
+		}
+	}
+}
+
+// TestReadFrameTruncatedHeaderIsCheap: a header may claim the largest
+// frame there is; if the bytes do not follow, the reader must not have
+// paid for them.
+func TestReadFrameTruncatedHeaderIsCheap(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req request
+	n, err := readFrame(bytes.NewReader(hdr[:]), &req)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 1 GiB frame with no body decoded without error")
+	}
+	if n != 4 {
+		t.Errorf("consumed %d bytes, want the 4 of the header", n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("reading a truncated frame allocated %d bytes, want < 1 MiB", grew)
+	}
+
+	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes+1)
+	if _, err := readFrame(bytes.NewReader(hdr[:]), &req); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("over-limit frame: err = %v, want the hard cap", err)
+	}
+}
+
+// FuzzReadFrame: no byte stream may panic the frame reader, make it
+// consume more than it was given, or leave it misaligned — a second
+// frame appended after a well-formed first must still decode.
+func FuzzReadFrame(f *testing.F) {
+	var good bytes.Buffer
+	if _, err := writeFrame(&good, &request{Seq: 7, Op: "reduce", Pass: "logreg/grad", Body: []byte{1, 2, 3}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(good.Bytes()[:len(good.Bytes())/2])              // truncated body
+	f.Add([]byte{0x40, 0, 0, 0, 0x05})                     // claims 1 GiB, delivers a byte
+	f.Add([]byte{0, 0, 0, 3, 0xff, 0xff, 0xff})            // not gob
+	f.Add(append([]byte{0, 0, 0, 0}, good.Bytes()...))     // empty frame first
+	f.Add(append(good.Bytes()[:4:4], 0x7f, 0xff, 0xff, 1)) // right length, wrong bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(append(append([]byte(nil), data...), good.Bytes()...))
+		var req request
+		n, err := readFrame(r, &req)
+		if n < 0 || n > len(data)+good.Len() {
+			t.Fatalf("consumed %d of %d bytes", n, len(data)+good.Len())
+		}
+		if consumed := len(data) + good.Len() - r.Len(); consumed != n {
+			t.Fatalf("reported %d bytes consumed, reader advanced %d", n, consumed)
+		}
+		if err != nil || n != len(data) {
+			return
+		}
+		// data was exactly one well-formed frame: the next must follow.
+		var next request
+		if _, err := readFrame(r, &next); err != nil {
+			t.Fatalf("frame after a well-formed frame: %v", err)
+		}
+		if next.Seq != 7 || next.Pass != "logreg/grad" {
+			t.Fatalf("frame after a well-formed frame decoded as %+v", next)
+		}
+		if _, err := readFrame(r, &next); err != io.EOF {
+			t.Fatalf("end of stream: err = %v, want io.EOF", err)
+		}
+	})
 }

@@ -1,23 +1,38 @@
 // Package dist implements M3's row-sharded training cluster: K
 // workers each own one contiguous, merge-group-aligned row range of a
-// dataset file and an engine to scan it; a coordinator broadcasts
-// per-iteration state (optimizer parameters, centroids, fitted stage
-// statistics) and refolds the per-group partials the workers ship.
+// dataset file and an engine to scan it; a coordinator runs the
+// trainers' own drivers (logreg.TrainOn, kmeans.RunPlane, ...) with
+// itself as the fit.Source, so every data pass a driver makes becomes
+// one broadcast round.
+//
+// The package knows no algorithm. A data pass is declared once, next
+// to its trainer (fit.Declare: a name, and a constructor of the pass's
+// exec.Aggregate from a shard and a gob-able argument). Locally
+// fit.Reduce folds that aggregate over the matrix; here it hands the
+// coordinator a fit.Round, the coordinator broadcasts the single
+// "reduce" op — pass name plus encoded argument — each worker looks
+// the pass up by name, folds its shard to merge-group states
+// (fit.Serve) and replies, and the replies are merged in shard order,
+// groups in row order. Adding an algorithm, or a pass to one, changes
+// nothing in this package.
 //
 // Because shard boundaries sit on the canonical merge-group grid
 // (exec.GroupRows of the global row count) and every worker scan
-// overrides its group height to that global value, the coordinator's
-// refold performs exactly the floating-point operations a local
+// overrides its group height to that global value, that merge
+// performs exactly the floating-point operations a local
 // single-machine fit performs, in exactly the same order. A K-shard
 // fit is therefore bit-identical to a 1-worker local fit — same
 // predictions, same saved model bytes — for every shardable
 // estimator.
 //
-// The transport is deliberately small: length-prefixed gob frames
-// over TCP, one connection per worker, strictly serial
-// request/response per connection, per-call deadlines, and
-// retry-with-backoff on transient dial errors. No third-party
-// dependencies.
+// Beside reduce the protocol has the ops that place data (stat, open,
+// reset, stage, materialize), fetch one row (row), and the two
+// strictly sequential steps of k-means that are not reductions
+// (kmeans/sample, kmeans/gather). The transport is deliberately
+// small: length-prefixed gob frames over TCP, one connection per
+// worker, strictly serial request/response per connection, per-call
+// deadlines, and retry-with-backoff on transient dial errors. No
+// third-party dependencies.
 package dist
 
 import (
@@ -31,14 +46,6 @@ import (
 	"net"
 	"syscall"
 	"time"
-
-	"m3/internal/exec"
-	"m3/internal/ml/bayes"
-	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
 )
 
 // maxFrameBytes bounds a single wire frame; anything larger is a
@@ -47,11 +54,23 @@ const maxFrameBytes = 1 << 30
 
 // request is the coordinator→worker envelope. Body is the
 // gob-encoded op payload, nested so the frame layer never needs to
-// know the payload's Go type and byte accounting is exact.
+// know the payload's Go type and byte accounting is exact. For the
+// reduce op, Pass names the declared pass and Body is its argument.
 type request struct {
 	Seq  uint64
 	Op   string
+	Pass string
 	Body []byte
+}
+
+// label is the request's name in metrics and spans: the pass for a
+// reduce, the op otherwise — so the series keep one value per data
+// pass ("logreg/grad", "kmeans/assign") though the wire op is one.
+func (r *request) label() string {
+	if r.Pass != "" {
+		return r.Pass
+	}
+	return r.Op
 }
 
 // response is the worker→coordinator envelope. A non-empty Err
@@ -98,7 +117,11 @@ func writeFrame(w io.Writer, v any) (int, error) {
 }
 
 // readFrame reads one length-prefixed gob frame into v, returning the
-// bytes consumed.
+// bytes consumed. The value is decoded straight off the stream, capped
+// at the frame: the length a peer claims bounds what is read, never
+// what is allocated — buffers grow as gob receives the bytes — and the
+// frame is drained whatever the decoder made of it, so the stream
+// stays aligned.
 func readFrame(r io.Reader, v any) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -108,14 +131,18 @@ func readFrame(r io.Reader, v any) (int, error) {
 	if n > maxFrameBytes {
 		return 4, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 4, err
+	frame := &io.LimitedReader{R: r, N: int64(n)}
+	err := gob.NewDecoder(frame).Decode(v)
+	if err != nil {
+		err = fmt.Errorf("dist: decode frame: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return 4 + int(n), fmt.Errorf("dist: decode frame: %w", err)
+	if _, drainErr := io.Copy(io.Discard, frame); err == nil {
+		err = drainErr
 	}
-	return 4 + int(n), nil
+	if err == nil && frame.N > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return 4 + int(n) - int(frame.N), err
 }
 
 // dialRetry dials addr, retrying transient failures (refused
@@ -158,10 +185,9 @@ func transientDialError(err error) bool {
 
 // --- Op payloads ------------------------------------------------------
 //
-// Every type below crosses the wire via gob. Fields are value types
-// or slices of them; partial types imported from the ml packages
-// export exactly their aggregate fields (scratch buffers are
-// unexported and stay worker-side).
+// Every type below crosses the wire via gob. A reduce has no payload
+// type here: its argument and its reply belong to the declared pass
+// (internal/fit), and this package moves both as bytes.
 
 // statReq asks a worker to report a dataset file's shape without
 // holding it open.
@@ -185,151 +211,13 @@ type openResp struct {
 	HasLabels  bool
 }
 
-// resetReq clears per-fit state (transform chain, caches, label
-// views, k-means scratch) while keeping the shard open.
-type resetReq struct{}
-
-type resetResp struct{}
-
 // stageReq appends one fitted transformer stage to the worker's fused
-// view. Exactly one of the stage groups is populated, per Kind.
-type stageReq struct {
-	// Kind is "standard", "minmax" or "pca".
-	Kind string
-	// Mean/Std parameterize a standard scaler.
-	Mean, Std []float64
-	// Min/Range parameterize a min-max scaler.
-	Min, Range []float64
-	// Components (K×D row-major), PCAMean, K and D parameterize a
-	// PCA projection.
-	Components []float64
-	PCAMean    []float64
-	K, D       int
-}
+// view. Model is the stage's modelio envelope — the bytes Save would
+// write — so any stage modelio can persist and that exposes a block
+// kernel can be shipped.
+type stageReq struct{ Model []byte }
 
 type stageResp struct{ OutCols int }
-
-// materializeReq streams the worker's fused view once into engine
-// scratch, so multi-epoch finals re-scan the transformed shard
-// instead of re-running the chain every iteration — the distributed
-// mirror of the pipeline's single cache materialization.
-type materializeReq struct{}
-
-type materializeResp struct{ Stall float64 }
-
-// gradReq is one binary-logistic objective evaluation at Params.
-type gradReq struct {
-	Params    []float64
-	Intercept bool
-	Binarize  bool
-	Positive  float64
-}
-
-type gradResp struct {
-	Groups []exec.GroupPartial[*logreg.GradPartial]
-	Stall  float64
-}
-
-// softmaxReq is one multiclass objective evaluation at Params.
-type softmaxReq struct {
-	Params    []float64
-	Classes   int
-	Intercept bool
-}
-
-type softmaxResp struct {
-	Groups []exec.GroupPartial[*logreg.SoftmaxPartial]
-	Stall  float64
-}
-
-// lsqReq is one least-squares objective evaluation at Params.
-type lsqReq struct {
-	Params    []float64
-	Intercept bool
-}
-
-type lsqResp struct {
-	Groups []exec.GroupPartial[*linreg.LsqPartial]
-	Stall  float64
-}
-
-// gramReq is the exact path's single normal-equations scan.
-type gramReq struct{ NoIntercept bool }
-
-type gramResp struct {
-	Groups []exec.GroupPartial[*linreg.GramPartial]
-	Stall  float64
-}
-
-// bayesReq is the naive-Bayes counting scan.
-type bayesReq struct{ Classes int }
-
-type bayesResp struct {
-	Groups []exec.GroupPartial[*bayes.CountPartial]
-	Stall  float64
-}
-
-// momentsReq is the standard-scaler Welford scan.
-type momentsReq struct{}
-
-type momentsResp struct {
-	Groups []exec.GroupPartial[*preprocess.Moments]
-	Stall  float64
-}
-
-// extremaReq is the min-max scan.
-type extremaReq struct{}
-
-type extremaResp struct {
-	Groups []exec.GroupPartial[*preprocess.Extrema]
-	Stall  float64
-}
-
-// pcaMeanReq is the PCA column-sum pass.
-type pcaMeanReq struct{}
-
-type pcaMeanResp struct {
-	Groups []exec.GroupPartial[[]float64]
-	Stall  float64
-}
-
-// pcaCovReq is the PCA scatter pass at the global mean.
-type pcaCovReq struct{ Mean []float64 }
-
-type pcaCovResp struct {
-	Groups []exec.GroupPartial[*pca.CovPartial]
-	Stall  float64
-}
-
-// assignReq is one Lloyd assignment pass at Centroids (K×D
-// row-major).
-type assignReq struct {
-	Centroids []float64
-	K         int
-}
-
-type assignResp struct {
-	Groups []exec.GroupPartial[*kmeans.AssignPartial]
-	Stall  float64
-}
-
-// seedReq is one k-means++ distance-update pass against the
-// previously chosen centroid.
-type seedReq struct{ Prev []float64 }
-
-// massGroup is one merge group's k-means++ probability mass. The
-// local fold's state is *float64; shipping the scalar by value keeps
-// gob from eliding all-zero groups (it omits zero fields, which would
-// turn a zero-mass group into a nil pointer on decode).
-type massGroup struct {
-	Lo, Hi int
-	Mass   float64
-}
-
-type seedResp struct {
-	Groups []massGroup
-	Stall  float64
-}
 
 // sampleReq resumes the sequential k-means++ prefix-sum walk on this
 // shard with the running accumulator from the shards before it.
@@ -354,51 +242,5 @@ type rowResp struct {
 	Stall float64
 }
 
-// gatherReq collects the shard's final k-means assignments.
-type gatherReq struct{}
-
+// gatherResp answers kmeans/gather with the shard's final assignments.
 type gatherResp struct{ Assignments []int }
-
-// Spec describes one fit the coordinator drives. It is a flat,
-// gob-friendly mirror of the public estimator configuration (function
-// fields like iteration callbacks cannot cross the wire). One Spec
-// describes either a single estimator or a pipeline (Stages +
-// Final).
-type Spec struct {
-	// Algo selects the program: "logistic", "softmax", "linear",
-	// "linear-exact", "bayes", "kmeans", "pca", "standard-scaler",
-	// "minmax-scaler" or "pipeline".
-	Algo string
-
-	// Logistic: derive 0/1 labels by comparing to Positive.
-	Binarize bool
-	Positive float64
-
-	// Softmax / bayes class count.
-	Classes int
-
-	// Shared optimizer surface (logistic, softmax, linear).
-	Lambda        float64
-	NoIntercept   bool
-	MaxIterations int
-	GradTol       float64
-
-	// Bayes.
-	VarSmoothing float64
-
-	// K-means.
-	K                int
-	Tol              float64
-	Seed             uint64
-	RandomInit       bool
-	RunAllIterations bool
-	// InitCentroids is K×D row-major when non-nil.
-	InitCentroids []float64
-
-	// PCA.
-	Components int
-
-	// Pipeline: transformer stages then the final estimator.
-	Stages []Spec
-	Final  *Spec
-}

@@ -1,22 +1,19 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
 	"m3/internal/core"
+	"m3/internal/exec"
+	"m3/internal/fit"
 	"m3/internal/mat"
-	"m3/internal/ml/bayes"
 	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
 	"m3/internal/ml/modelio"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
 	"m3/internal/obs"
 )
 
@@ -135,16 +132,16 @@ func (w *Worker) handleConn(conn net.Conn) {
 		if _, err := readFrame(conn, &req); err != nil {
 			return // EOF or dropped coordinator: tear down the session
 		}
-		workerOpsTotal.With(req.Op).Inc()
+		workerOpsTotal.With(req.label()).Inc()
 		body, err := func() (b []byte, err error) {
-			sp := obs.StartSpan("dist", "worker "+req.Op)
+			sp := obs.StartSpan("dist", "worker "+req.label())
 			defer sp.End()
 			defer func() {
 				if r := recover(); r != nil {
-					err = fmt.Errorf("dist: worker panic in %s: %v", req.Op, r)
+					err = fmt.Errorf("dist: worker panic in %s: %v", req.label(), r)
 				}
 			}()
-			return s.handle(ctx, req.Op, req.Body)
+			return s.handle(ctx, &req)
 		}()
 		resp := response{Seq: req.Seq, Body: body}
 		if err != nil {
@@ -161,12 +158,10 @@ type session struct {
 	cfg WorkerConfig
 
 	eng    *core.Engine
-	table  *core.Table
 	lo, hi int
-	// globalRows is the coordinator's full row count; groupRows its
-	// merge-group height, which every scan here must reuse.
-	globalRows int
-	groupRows  int
+	// groupRows is the coordinator's merge-group height, which every
+	// scan here must reuse.
+	groupRows int
 
 	// base is the raw shard window; view is base with the fused
 	// transform chain applied (== base when the chain is empty) or
@@ -174,19 +169,12 @@ type session struct {
 	base   *mat.Dense
 	view   *mat.Dense
 	labels []float64
-	chain  []core.BlockTransformer
 	cache  *core.Dataset
 
-	// Per-fit label views, computed on first use and invalidated by
-	// reset.
-	binLabels   []float64
-	binPositive float64
-	intLabels   []int
-	intClasses  int
-
-	// K-means per-fit scratch.
-	assignments []int
-	dist        []float64
+	// shard is what the passes of the current fit build against: the
+	// view's width, the label views and the fit's row-indexed scratch.
+	// reset replaces it.
+	shard *fit.Shard
 }
 
 // close releases everything the session holds.
@@ -195,217 +183,98 @@ func (s *session) close() {
 		s.eng.Close()
 		s.eng = nil
 	}
-	s.table, s.base, s.view, s.cache = nil, nil, nil, nil
-	s.labels, s.chain = nil, nil
-	s.resetFitState()
+	s.base, s.view, s.cache, s.labels, s.shard = nil, nil, nil, nil, nil
 }
 
-// resetFitState drops per-fit caches while keeping the shard open.
-func (s *session) resetFitState() {
-	s.binLabels, s.intLabels = nil, nil
-	s.binPositive, s.intClasses = 0, 0
-	s.assignments, s.dist = nil, nil
+// reset drops the fused chain, any materialized cache and all per-fit
+// state (label views, scratch), returning the view to the raw shard
+// window.
+func (s *session) reset() {
+	if s.cache != nil {
+		s.cache.Release()
+		s.cache = nil
+	}
+	s.view = s.base
+	s.shard = &fit.Shard{Rows: s.hi - s.lo, Cols: s.view.Cols(), Labels: s.labels}
 }
 
-// scanWorkers resolves the pool size for shard scans.
-func (s *session) scanWorkers() int { return s.cfg.Workers }
+// fusable is a fitted transformer stage that can extend a fused view:
+// what *preprocess.StandardScaler, *preprocess.MinMaxScaler and
+// *pca.Result — the stages a pipeline Spec can name — all provide.
+type fusable interface {
+	InCols() int
+	OutCols() int
+	BlockKernel() exec.RowKernel
+}
 
 // handle dispatches one op.
-func (s *session) handle(ctx context.Context, op string, body []byte) ([]byte, error) {
-	switch op {
-	case "ping":
-		return encodeBody(&resetResp{})
+func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
+	switch req.Op {
 	case "stat":
-		var req statReq
-		if err := decodeBody(body, &req); err != nil {
+		var r statReq
+		if err := decodeBody(req.Body, &r); err != nil {
 			return nil, err
 		}
-		return s.stat(req)
+		return s.stat(r)
 	case "open":
-		var req openReq
-		if err := decodeBody(body, &req); err != nil {
+		var r openReq
+		if err := decodeBody(req.Body, &r); err != nil {
 			return nil, err
 		}
-		return s.open(req)
+		return s.open(r)
 	}
 	if s.view == nil {
-		return nil, fmt.Errorf("dist: %s before open", op)
+		return nil, fmt.Errorf("dist: %s before open", req.Op)
 	}
-	switch op {
+	switch req.Op {
 	case "reset":
-		s.dropChain()
-		s.resetFitState()
-		return encodeBody(&resetResp{})
+		s.reset()
+		return nil, nil
 	case "stage":
-		var req stageReq
-		if err := decodeBody(body, &req); err != nil {
+		var r stageReq
+		if err := decodeBody(req.Body, &r); err != nil {
 			return nil, err
 		}
-		return s.pushStage(req)
+		return s.pushStage(r)
 	case "materialize":
-		var req materializeReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
 		return s.materialize(ctx)
-	case "logreg/grad":
-		var req gradReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.binaryLabels(req.Binarize, req.Positive)
+	case "reduce":
+		scan := s.view.ScanCtx(ctx, s.cfg.Workers)
+		scan.GroupRows = s.groupRows
+		reply, err := fit.Serve(req.Pass, s.shard, scan, req.Body)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard [%d, %d): %w", s.lo, s.hi, err)
 		}
-		groups, stall, err := logreg.GradGroups(ctx, s.view, y, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&gradResp{Groups: groups, Stall: stall})
-	case "softmax/grad":
-		var req softmaxReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.classLabels(req.Classes)
-		if err != nil {
-			return nil, err
-		}
-		groups, stall, err := logreg.SoftmaxGroups(ctx, s.view, y, req.Classes, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&softmaxResp{Groups: groups, Stall: stall})
-	case "linreg/lsq":
-		var req lsqReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.labels == nil {
-			return nil, errors.New("dist: dataset has no labels")
-		}
-		groups, stall, err := linreg.LsqGroups(ctx, s.view, s.labels, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&lsqResp{Groups: groups, Stall: stall})
-	case "linreg/gram":
-		var req gramReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.labels == nil {
-			return nil, errors.New("dist: dataset has no labels")
-		}
-		groups, stall, err := linreg.GramGroups(ctx, s.view, s.labels, req.NoIntercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&gramResp{Groups: groups, Stall: stall})
-	case "bayes/counts":
-		var req bayesReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.classLabels(req.Classes)
-		if err != nil {
-			return nil, err
-		}
-		groups, stall, err := bayes.CountGroups(ctx, s.view, y, req.Classes, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&bayesResp{Groups: groups, Stall: stall})
-	case "moments":
-		groups, stall, err := preprocess.MomentGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&momentsResp{Groups: groups, Stall: stall})
-	case "extrema":
-		groups, stall, err := preprocess.ExtremaGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&extremaResp{Groups: groups, Stall: stall})
-	case "pca/mean":
-		groups, stall, err := pca.MeanGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&pcaMeanResp{Groups: groups, Stall: stall})
-	case "pca/cov":
-		var req pcaCovReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		groups, stall, err := pca.CovGroups(ctx, s.view, req.Mean, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&pcaCovResp{Groups: groups, Stall: stall})
-	case "kmeans/assign":
-		var req assignReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.assignments == nil {
-			s.assignments = make([]int, s.view.Rows())
-		}
-		groups, stall, err := kmeans.AssignGroups(ctx, s.view, s.assignments, req.Centroids, req.K, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&assignResp{Groups: groups, Stall: stall})
-	case "kmeans/seed":
-		var req seedReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.dist == nil {
-			s.dist = make([]float64, s.view.Rows())
-			for i := range s.dist {
-				s.dist[i] = math.Inf(1)
-			}
-		}
-		groups, stall, err := kmeans.SeedGroups(ctx, s.view, s.dist, req.Prev, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]massGroup, len(groups))
-		for i, g := range groups {
-			out[i] = massGroup{Lo: g.Lo, Hi: g.Hi, Mass: *g.State}
-		}
-		return encodeBody(&seedResp{Groups: out, Stall: stall})
+		return reply, nil
 	case "kmeans/sample":
-		var req sampleReq
-		if err := decodeBody(body, &req); err != nil {
+		var r sampleReq
+		if err := decodeBody(req.Body, &r); err != nil {
 			return nil, err
 		}
-		if s.dist == nil {
-			return nil, errors.New("dist: kmeans/sample before kmeans/seed")
+		sc, ok := s.shard.Scratch.(*kmeans.Scratch)
+		if !ok || sc.Dist == nil {
+			return nil, errors.New("dist: kmeans/sample before a kmeans/seed pass")
 		}
-		idx, acc, found := kmeans.SamplePrefix(s.dist, req.Acc, req.Target)
+		idx, acc, found := kmeans.SamplePrefix(sc.Dist, r.Acc, r.Target)
 		return encodeBody(&sampleResp{Found: found, Idx: idx, Acc: acc})
 	case "kmeans/gather":
-		if s.assignments == nil {
-			return nil, errors.New("dist: kmeans/gather before kmeans/assign")
+		sc, ok := s.shard.Scratch.(*kmeans.Scratch)
+		if !ok {
+			return nil, errors.New("dist: kmeans/gather before a kmeans/assign pass")
 		}
-		return encodeBody(&gatherResp{Assignments: s.assignments})
+		return encodeBody(&gatherResp{Assignments: sc.Assignments})
 	case "row":
-		var req rowReq
-		if err := decodeBody(body, &req); err != nil {
+		var r rowReq
+		if err := decodeBody(req.Body, &r); err != nil {
 			return nil, err
 		}
-		if req.I < 0 || req.I >= s.view.Rows() {
-			return nil, fmt.Errorf("dist: row %d out of shard [0, %d)", req.I, s.view.Rows())
+		if r.I < 0 || r.I >= s.view.Rows() {
+			return nil, fmt.Errorf("dist: row %d out of shard [0, %d)", r.I, s.view.Rows())
 		}
-		row, stall := s.view.Row(req.I)
-		out := make([]float64, len(row))
-		copy(out, row)
-		return encodeBody(&rowResp{Row: out, Stall: stall})
+		row, stall := s.view.Row(r.I)
+		return encodeBody(&rowResp{Row: append([]float64(nil), row...), Stall: stall})
 	}
-	return nil, fmt.Errorf("dist: unknown op %q", op)
+	return nil, fmt.Errorf("dist: unknown op %q", req.Op)
 }
 
 // stat opens path just long enough to report its shape.
@@ -433,14 +302,7 @@ func (s *session) open(req openReq) ([]byte, error) {
 	if req.Lo%req.GroupRows != 0 {
 		return nil, fmt.Errorf("dist: shard start %d is not a multiple of the group height %d", req.Lo, req.GroupRows)
 	}
-	// Tear down any previous shard first.
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	s.table, s.base, s.view, s.cache = nil, nil, nil, nil
-	s.labels, s.chain = nil, nil
-	s.resetFitState()
-
+	s.close() // tear down any previous shard first
 	s.eng = core.New(core.Config{Mode: s.cfg.Mode, MemoryBudget: s.cfg.MemoryBudget, Workers: s.cfg.Workers})
 	t, err := s.eng.Open(req.Path)
 	if err != nil {
@@ -450,59 +312,37 @@ func (s *session) open(req openReq) ([]byte, error) {
 	if req.Hi > rows {
 		return nil, fmt.Errorf("dist: shard [%d, %d) exceeds %d rows", req.Lo, req.Hi, rows)
 	}
-	s.table = t
 	s.lo, s.hi = req.Lo, req.Hi
-	s.globalRows = rows
 	s.groupRows = req.GroupRows
 	s.base = t.X.RowWindow(req.Lo, req.Hi)
-	s.view = s.base
 	if t.Labels != nil {
 		s.labels = t.Labels[req.Lo:req.Hi]
 	}
+	s.reset()
 	return encodeBody(&openResp{Rows: s.hi - s.lo, Cols: cols, HasLabels: s.labels != nil})
 }
 
-// dropChain discards the fused chain and any materialized cache,
-// returning the view to the raw shard window.
-func (s *session) dropChain() {
-	if s.cache != nil {
-		s.cache.Release()
-		s.cache = nil
-	}
-	s.chain = nil
-	s.view = s.base
-}
-
-// pushStage appends one fitted transformer to the fused chain and
-// rebuilds the view. The kernels are the same per-row transforms the
-// local pipeline fuses, so the transformed rows are bit-identical.
+// pushStage decodes one fitted transformer from its modelio envelope
+// and fuses its kernel onto the view — the same per-row kernel, and
+// the same chain composition (mat.NewFused over a fused view), the
+// local pipeline builds, so the transformed rows are bit-identical.
 func (s *session) pushStage(req stageReq) ([]byte, error) {
 	if s.cache != nil {
 		return nil, errors.New("dist: stage after materialize")
 	}
-	var bt core.BlockTransformer
-	switch req.Kind {
-	case "standard":
-		bt = scalerStage{s: &preprocess.StandardScaler{Mean: req.Mean, Std: req.Std}}
-	case "minmax":
-		bt = minmaxStage{s: &preprocess.MinMaxScaler{Min: req.Min, Range: req.Range}}
-	case "pca":
-		if req.K < 1 || req.D < 1 || len(req.Components) != req.K*req.D {
-			return nil, fmt.Errorf("dist: bad pca stage %dx%d with %d component values", req.K, req.D, len(req.Components))
-		}
-		comp := mat.NewDense(req.K, req.D)
-		for i := 0; i < req.K; i++ {
-			comp.SetRow(i, req.Components[i*req.D:(i+1)*req.D])
-		}
-		bt = pcaStage{r: &pca.Result{Components: comp, Mean: req.PCAMean}}
-	default:
-		return nil, fmt.Errorf("dist: unknown stage kind %q", req.Kind)
+	model, kind, err := modelio.Load(bytes.NewReader(req.Model))
+	if err != nil {
+		return nil, err
 	}
-	if got, want := bt.InCols(), s.view.Cols(); got != want {
+	st, ok := model.(fusable)
+	if !ok {
+		return nil, fmt.Errorf("dist: a %s model is not a fusable stage", kind)
+	}
+	if got, want := st.InCols(), s.view.Cols(); got != want {
 		return nil, fmt.Errorf("dist: stage expects %d columns, view has %d", got, want)
 	}
-	s.chain = append(s.chain, bt)
-	s.view = mat.NewFused(s.base, s.chain[len(s.chain)-1].OutCols(), core.FuseKernels(s.chain))
+	s.view = mat.NewFused(s.view, st.OutCols(), st.BlockKernel)
+	s.shard.Cols = s.view.Cols()
 	return encodeBody(&stageResp{OutCols: s.view.Cols()})
 }
 
@@ -511,126 +351,14 @@ func (s *session) pushStage(req stageReq) ([]byte, error) {
 // single materialization before a multi-epoch final fit.
 func (s *session) materialize(ctx context.Context) ([]byte, error) {
 	if !s.view.IsFused() {
-		return encodeBody(&materializeResp{})
+		return nil, nil
 	}
 	ds := &core.Dataset{X: s.view, Workers: s.cfg.Workers, Engine: s.eng}
-	cache, err := core.Materialize(ctx, ds, s.scanWorkers())
+	cache, err := core.Materialize(ctx, ds, s.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	s.cache = cache
 	s.view = cache.X
-	return encodeBody(&materializeResp{})
+	return nil, nil
 }
-
-// binaryLabels returns (caching) the 0/1 label view for a logistic
-// fit.
-func (s *session) binaryLabels(binarize bool, positive float64) ([]float64, error) {
-	if s.labels == nil {
-		return nil, errors.New("dist: dataset has no labels")
-	}
-	if !binarize {
-		for i, v := range s.labels {
-			if v != 0 && v != 1 {
-				return nil, fmt.Errorf("dist: label[%d] = %v, want 0 or 1 (global row %d)", i, v, s.lo+i)
-			}
-		}
-		return s.labels, nil
-	}
-	//m3vet:allow floateq -- cache key: the positive class is a config value compared verbatim, not computed
-	if s.binLabels != nil && s.binPositive == positive {
-		return s.binLabels, nil
-	}
-	s.binLabels = preprocess.BinaryLabels(s.labels, positive)
-	s.binPositive = positive
-	return s.binLabels, nil
-}
-
-// classLabels returns (caching) the integer label view for softmax
-// and bayes fits.
-func (s *session) classLabels(classes int) ([]int, error) {
-	if s.labels == nil {
-		return nil, errors.New("dist: dataset has no labels")
-	}
-	if s.intLabels != nil && s.intClasses == classes {
-		return s.intLabels, nil
-	}
-	y, err := preprocess.IntLabels(s.labels, classes)
-	if err != nil {
-		return nil, fmt.Errorf("dist: shard [%d, %d): %w", s.lo, s.hi, err)
-	}
-	s.intLabels = y
-	s.intClasses = classes
-	return s.intLabels, nil
-}
-
-// --- Fused-stage wrappers --------------------------------------------
-//
-// These mirror the root package's Fitted* block kernels exactly (same
-// copy + TransformRow / TransformInto sequences), so a worker's fused
-// view produces bit-identical transformed rows. They are duplicated
-// here because internal/dist cannot import the root package (the root
-// package imports dist).
-
-type scalerStage struct{ s *preprocess.StandardScaler }
-
-func (t scalerStage) InCols() int  { return len(t.s.Mean) }
-func (t scalerStage) OutCols() int { return len(t.s.Mean) }
-func (t scalerStage) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		t.s.TransformRow(dst)
-		return dst
-	}
-}
-func (t scalerStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t scalerStage) TransformRow(row []float64) []float64 {
-	out := append([]float64(nil), row...)
-	t.s.TransformRow(out)
-	return out
-}
-func (t scalerStage) Save(path string) error { return modelio.SaveFile(path, t.s) }
-
-type minmaxStage struct{ s *preprocess.MinMaxScaler }
-
-func (t minmaxStage) InCols() int  { return len(t.s.Min) }
-func (t minmaxStage) OutCols() int { return len(t.s.Min) }
-func (t minmaxStage) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		t.s.TransformRow(dst)
-		return dst
-	}
-}
-func (t minmaxStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t minmaxStage) TransformRow(row []float64) []float64 {
-	out := append([]float64(nil), row...)
-	t.s.TransformRow(out)
-	return out
-}
-func (t minmaxStage) Save(path string) error { return modelio.SaveFile(path, t.s) }
-
-type pcaStage struct{ r *pca.Result }
-
-func (t pcaStage) InCols() int  { return t.r.Components.Cols() }
-func (t pcaStage) OutCols() int { return t.r.Components.Rows() }
-func (t pcaStage) BlockKernel() core.RowKernel {
-	centered := make([]float64, t.r.Components.Cols())
-	return func(dst, src []float64) []float64 {
-		t.r.TransformInto(src, dst, centered)
-		return dst
-	}
-}
-func (t pcaStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t pcaStage) TransformRow(row []float64) []float64 {
-	out := make([]float64, t.OutCols())
-	t.r.Transform(row, out)
-	return out
-}
-func (t pcaStage) Save(path string) error { return modelio.SaveFile(path, t.r) }

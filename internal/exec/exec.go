@@ -1,27 +1,38 @@
 // Package exec is M3's shared parallel chunked-execution layer: a
-// block scheduler plus worker pool that every trainer sits on.
+// block scheduler plus worker pool that every trainer sits on, and the
+// one place a data pass is turned into an answer.
 //
 // The design follows the streaming-operator shape of FDB (Bakibayev
-// et al., VLDB 2012) applied to M3's substrate: the row space of a
-// (possibly memory-mapped) matrix is partitioned into blocks sized to
-// a whole number of pages, a map runs over blocks on a pool of workers, and
-// per-block partial states are combined by an ordered reduce. Because
-// the partition depends only on the data geometry — never on the
-// worker count — and partials are merged in ascending block order,
-// results are bit-identical run to run regardless of how many workers
-// execute the map. Parallelism changes wall time, not answers.
+// et al., VLDB 2012) applied to M3's substrate: an answer is a set of
+// mergeable partials with a fixed combination order. The row space of
+// a (possibly memory-mapped) matrix is partitioned into blocks sized
+// to a whole number of pages, a map runs over blocks on a pool of
+// workers, and per-block partial states are combined by an ordered
+// reduce. Because the partition depends only on the data geometry —
+// never on the worker count — and partials are merged in ascending
+// block order, results are bit-identical run to run regardless of how
+// many workers execute the map. Parallelism changes wall time, not
+// answers.
 //
 // Row scans additionally fix a canonical *grouped* merge association:
 // rows are cut into merge groups of GroupRows(n) rows (a function of
 // the row count alone), blocks never straddle a group boundary, each
 // group folds its blocks into a zero-valued group state, and the root
-// folds the group states in ascending row order. The two-level shape
-// is what makes the reduction shippable: a distributed worker holding
-// a group-aligned row shard computes exactly the group states the
-// local scan would (ReduceRowGroups), and a coordinator that refolds
-// them in global row order performs literally the same sequence of
-// floating-point merges as a single-process fit — K-shard results are
-// bit-identical to local ones, not merely close.
+// folds the group states in ascending row order.
+//
+// An algorithm states each of its data passes once, as an Aggregate:
+// how to allocate a zero state, how to accumulate a row block into it
+// and how to merge two states. Every executor runs that one statement
+// through reduceRowScan. A local fit folds it to a root
+// (Aggregate.Reduce, i.e. ReduceRowBlocks); a fused pipeline is the
+// same call on a scan with Transform set; a distributed worker
+// holding a group-aligned row shard stops one fold short and ships
+// its group states (Aggregate.Groups, i.e. ReduceRowGroups), and a
+// coordinator that merges them in global row order performs literally
+// the sequence of floating-point merges a single-process fit
+// performs — K-shard results are bit-identical to local ones, not
+// merely close. internal/fit names aggregates so that a worker can
+// look one up (fit.Declare) and picks the executor (fit.Reduce).
 //
 // The layer integrates with the storage stack rather than sitting on
 // top of it:
@@ -486,6 +497,58 @@ func ReduceRowGroups[T any](s RowScan, alloc func() T, fn func(state T, lo, hi i
 	return groups, stall, nil
 }
 
+// Aggregate is one data pass stated once: a zero state, the
+// accumulation of one row block into a state, and the merge of two
+// states. Local, fused and sharded execution all run this statement —
+// Reduce folds it to a root, Groups stops at the merge-group states a
+// coordinator refolds — so they cannot disagree about the arithmetic.
+type Aggregate[T any] struct {
+	// Name labels the scan in obs traces ("logreg grad", "pca cov").
+	Name string
+	// BlockBytes, when positive, overrides the scan's block payload
+	// size: a pass whose state is large (a d×d matrix) asks for blocks
+	// tall enough to amortize zeroing and merging one.
+	BlockBytes int
+	// Alloc returns a zero state.
+	Alloc func() T
+	// Block accumulates rows [lo, hi) into state (see ReduceRowBlocks
+	// for the block layout; fused scans deliver single-row blocks).
+	Block func(state T, lo, hi int, block []float64, stride int)
+	// Merge folds src into dst.
+	Merge func(dst, src T)
+}
+
+// on returns s labelled and block-sized for the aggregate.
+func (a Aggregate[T]) on(s RowScan) RowScan {
+	s.Name = a.Name
+	if a.BlockBytes > 0 {
+		s.BlockBytes = a.BlockBytes
+	}
+	return s
+}
+
+// Reduce folds the aggregate over s to its root (ReduceRowBlocks).
+func (a Aggregate[T]) Reduce(s RowScan) (T, float64, error) {
+	return ReduceRowBlocks(a.on(s), a.Alloc, a.Block, a.Merge)
+}
+
+// Groups folds the aggregate over s to its merge-group states
+// (ReduceRowGroups).
+func (a Aggregate[T]) Groups(s RowScan) ([]GroupPartial[T], float64, error) {
+	return ReduceRowGroups(a.on(s), a.Alloc, a.Block, a.Merge)
+}
+
+// EachRow lifts a per-row accumulation over cols-wide rows to the
+// block form Aggregate.Block and ReduceRowBlocks take.
+func EachRow[T any](cols int, fn func(state T, i int, row []float64)) func(state T, lo, hi int, block []float64, stride int) {
+	return func(state T, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			rs := (i - lo) * stride
+			fn(state, i, block[rs:rs+cols])
+		}
+	}
+}
+
 // reduceRowScan runs the blocked scan shared by ReduceRowBlocks and
 // ReduceRowGroups: per-block partials fold into zero-rooted group
 // states in ascending block order, and each completed group is handed
@@ -647,13 +710,7 @@ func reduceRowScan[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int
 // cancelled s.Ctx stops the scan within one block (see
 // ReduceRowBlocks).
 func ReduceRows[T any](s RowScan, alloc func() T, fn func(state T, i int, row []float64), merge func(dst, src T)) (T, float64, error) {
-	return ReduceRowBlocks(s, alloc,
-		func(state T, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				rs := (i - lo) * stride
-				fn(state, i, block[rs:rs+s.Cols])
-			}
-		}, merge)
+	return ReduceRowBlocks(s, alloc, EachRow(s.Cols, fn), merge)
 }
 
 // ForEachRow runs fn over every row of the scan on the worker pool,

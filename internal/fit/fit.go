@@ -1,8 +1,10 @@
-// Package fit defines the algorithm-agnostic slice of every trainer's
-// option surface: the worker-pool override, the iteration callback and
-// verbosity. Each algorithm's Options struct embeds FitOptions, so the
+// Package fit defines the algorithm-agnostic slice of every trainer:
+// the shared option surface (worker-pool override, iteration callback,
+// verbosity — each algorithm's Options struct embeds FitOptions, so the
 // knobs spell the same everywhere and the engine can thread its
-// configuration into any trainer without knowing which one it is.
+// configuration into any trainer without knowing which one it is) and
+// the seam between a trainer and its rows (pass.go: declared data
+// passes, the Source they run over, the Shard their kernels read).
 package fit
 
 import (

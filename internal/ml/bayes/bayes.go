@@ -52,92 +52,23 @@ type Model struct {
 // Train fits the model in one pass over x. Labels must be integers in
 // [0, classes). ctx cancels the counting scan within one data block.
 func Train(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*Model, error) {
+	return TrainOn(ctx, fit.NewLocalClasses(x, y, opts.Workers), classes, opts)
+}
+
+// TrainOn is Train over any source of rows — the one driver local and
+// distributed fits share: a single countPass reduction (per-class
+// count, sum and sum-of-squares, merged in canonical order so the model
+// is identical for any worker or shard count), then the closed form.
+func TrainOn(ctx context.Context, src fit.Source, classes int, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	n, d := x.Dims()
-	if n != len(y) {
-		return nil, fmt.Errorf("bayes: %d rows but %d labels", n, len(y))
-	}
-	if classes < 2 {
-		return nil, fmt.Errorf("bayes: need >= 2 classes, got %d", classes)
-	}
-	for i, v := range y {
-		if v < 0 || v >= classes {
-			return nil, fmt.Errorf("bayes: label[%d] = %d outside [0,%d)", i, v, classes)
-		}
-	}
-
-	// Single blocked scan on the shared execution layer: each block
-	// accumulates per-class count, sum and sum-of-squares partials,
-	// merged in block order so the model is identical for any worker
-	// count.
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, o.Workers).Named("bayes moments"),
-		func() *CountPartial { return NewCountPartial(classes, d) },
-		func(p *CountPartial, i int, row []float64) { p.Add(y[i], row) },
-		MergeCounts)
+	acc, _, err := fit.Reduce(ctx, src, countPass, countArg{Classes: classes})
 	if err != nil {
 		return nil, err
 	}
-	return ModelFromCounts(acc, n, classes, d, o.VarSmoothing)
-}
-
-// CountPartial is one merge group's (or block's) share of the class
-// statistics — the shardable aggregate of a naive-Bayes fit. Fields
-// are exported for gob.
-type CountPartial struct {
-	Counts, Sum, SumSq []float64
-}
-
-// NewCountPartial returns a zero partial for classes×d statistics.
-func NewCountPartial(classes, d int) *CountPartial {
-	return &CountPartial{
-		Counts: make([]float64, classes),
-		Sum:    make([]float64, classes*d),
-		SumSq:  make([]float64, classes*d),
-	}
-}
-
-// Add accumulates one row of class c.
-func (p *CountPartial) Add(c int, row []float64) {
-	p.Counts[c]++
-	base := c * len(row)
-	for j, v := range row {
-		p.Sum[base+j] += v
-		p.SumSq[base+j] += v * v
-	}
-}
-
-// MergeCounts folds src into dst with the local scan's exact merge
-// operations.
-func MergeCounts(dst, src *CountPartial) {
-	blas.Axpy(1, src.Counts, dst.Counts)
-	blas.Axpy(1, src.Sum, dst.Sum)
-	blas.Axpy(1, src.SumSq, dst.SumSq)
-}
-
-// CountGroups computes the per-merge-group class-statistic partials —
-// the worker half of a distributed fit. groupRows must be the
-// coordinator's global group height.
-func CountGroups(ctx context.Context, x *mat.Dense, y []int, classes int, workers, groupRows int) ([]exec.GroupPartial[*CountPartial], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("bayes moments")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *CountPartial { return NewCountPartial(classes, d) },
-		func(p *CountPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				p.Add(y[i], block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeCounts)
-}
-
-// ModelFromCounts closes the fit over the folded statistics — mean,
-// biased variance with smoothing, log priors — the arithmetic shared
-// by the local and distributed paths. n is the global row count.
-func ModelFromCounts(acc *CountPartial, n, classes, d int, varSmoothing float64) (*Model, error) {
+	n, d := src.Dims()
 	m := &Model{
 		Classes:  classes,
 		Features: d,
@@ -166,18 +97,51 @@ func ModelFromCounts(acc *CountPartial, n, classes, d int, varSmoothing float64)
 			}
 		}
 	}
-	eps := varSmoothing * math.Max(maxVar, 1e-12)
+	eps := o.VarSmoothing * math.Max(maxVar, 1e-12)
 	for i := range m.Var {
 		m.Var[i] += eps
 	}
 	return m, nil
 }
 
-// DefaultVarSmoothing resolves the smoothing knob the way Train does,
-// so distributed callers share the default.
-func DefaultVarSmoothing(v float64) float64 {
-	return Options{VarSmoothing: v}.withDefaults().VarSmoothing
+// CountPartial is one merge group's (or block's) share of the class
+// statistics — the pass's mergeable state. Fields are exported for
+// gob.
+type CountPartial struct {
+	Counts, Sum, SumSq []float64
 }
+
+// countArg is the bayes/counts pass's argument.
+type countArg struct{ Classes int }
+
+// countPass is naive Bayes's single data pass.
+var countPass = fit.Declare("bayes/counts", func(sh *fit.Shard, a countArg) (exec.Aggregate[*CountPartial], error) {
+	y, err := sh.Classes(a.Classes)
+	if err != nil {
+		return exec.Aggregate[*CountPartial]{}, err
+	}
+	k, d := a.Classes, sh.Cols
+	return exec.Aggregate[*CountPartial]{
+		Name: "bayes moments",
+		Alloc: func() *CountPartial {
+			return &CountPartial{Counts: make([]float64, k), Sum: make([]float64, k*d), SumSq: make([]float64, k*d)}
+		},
+		Block: exec.EachRow(d, func(p *CountPartial, i int, row []float64) {
+			c := y[i]
+			p.Counts[c]++
+			base := c * d
+			for j, v := range row {
+				p.Sum[base+j] += v
+				p.SumSq[base+j] += v * v
+			}
+		}),
+		Merge: func(dst, src *CountPartial) {
+			blas.Axpy(1, src.Counts, dst.Counts)
+			blas.Axpy(1, src.Sum, dst.Sum)
+			blas.Axpy(1, src.SumSq, dst.SumSq)
+		},
+	}, nil
+})
 
 // LogScores writes per-class joint log-likelihoods into dst
 // (length Classes).

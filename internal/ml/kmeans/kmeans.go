@@ -5,13 +5,14 @@
 // is a pure sequential scan, which is why k-means pages as well as
 // logistic regression under M3.
 //
-// The algorithm is written against a DataPlane — the four data-touching
-// operations a fit needs (assignment pass, seeding pass, prefix
-// sampling, row fetch). Run wires the plane to a local matrix; a
-// distributed coordinator implements the same interface over sharded
-// workers, and because every plane operation reproduces the local
-// floating-point operation order exactly, both planes produce
-// bit-identical results.
+// The algorithm is written against a DataPlane — the data-touching
+// operations a fit needs. The two scanning ones (assignment pass,
+// seeding pass) are declared passes that run over any fit.Source
+// (SourcePlane); a plane adds where single rows and the sequential
+// prefix walk live. Run wires the plane to a local matrix; a
+// distributed coordinator wires it to sharded workers, and because
+// every plane operation reproduces the local floating-point operation
+// order exactly, both planes produce bit-identical results.
 package kmeans
 
 import (
@@ -91,8 +92,8 @@ type Result struct {
 }
 
 // AssignPartial is one merge group's (or block's) share of a Lloyd
-// assignment pass — the shardable aggregate a distributed assignment
-// ships. Fields are exported for gob.
+// assignment pass — the pass's mergeable state. Fields are exported for
+// gob.
 type AssignPartial struct {
 	Sums    []float64
 	Counts  []int
@@ -100,88 +101,93 @@ type AssignPartial struct {
 	Changed int
 }
 
-// NewAssignPartial returns a zero partial for k clusters over d
-// features.
-func NewAssignPartial(k, d int) *AssignPartial {
-	return &AssignPartial{Sums: make([]float64, k*d), Counts: make([]int, k)}
+// Scratch is a fit's row-indexed state, kept on the fit.Shard between
+// passes: shard-local on a distributed worker, whole-matrix locally.
+type Scratch struct {
+	// Assignments maps each row to its cluster as of the last
+	// assignment pass.
+	Assignments []int
+	// Dist is each row's squared distance to the nearest chosen
+	// centroid during k-means++ seeding: +Inf before the first seeding
+	// pass, nil when the fit never seeds.
+	Dist []float64
 }
 
-// MergeAssign folds src into dst with the local pass's exact merge
-// operations, exported so a coordinator refolds shipped partials with
-// the same floating-point operation sequence.
-func MergeAssign(dst, src *AssignPartial) {
-	dst.Inertia += src.Inertia
-	dst.Changed += src.Changed
-	blas.Axpy(1, src.Sums, dst.Sums)
-	for c, n := range src.Counts {
-		dst.Counts[c] += n
+// scratchOf returns the shard's k-means scratch, creating it on the
+// fit's first pass.
+func scratchOf(sh *fit.Shard) *Scratch {
+	sc, ok := sh.Scratch.(*Scratch)
+	if !ok {
+		sc = &Scratch{Assignments: make([]int, sh.Rows)}
+		sh.Scratch = sc
 	}
+	return sc
 }
 
-// assignKernel returns the per-row accumulation of one Lloyd
-// assignment pass. assignments is indexed by the scan's row index
-// (shard-local on a worker) and is updated in place.
-func assignKernel(assignments []int, centroids []float64, k, d int) func(p *AssignPartial, i int, row []float64) {
-	return func(p *AssignPartial, i int, row []float64) {
-		bestC, best := blas.NearestRow(row, k, d, centroids, d)
-		if assignments[i] != bestC {
-			p.Changed++
-			assignments[i] = bestC
-		}
-		p.Inertia += best
-		blas.Axpy(1, row, p.Sums[bestC*d:(bestC+1)*d])
-		p.Counts[bestC]++
-	}
+// assignArg is the kmeans/assign pass's argument: the flat K×D
+// centroid block.
+type assignArg struct {
+	Centroids []float64
+	K         int
 }
 
-// AssignGroups runs one assignment pass and returns the per-merge-group
-// partials — the worker half of a distributed Lloyd iteration.
-// assignments must have x.Rows() entries (shard-local); groupRows must
-// be the coordinator's global group height.
-func AssignGroups(ctx context.Context, x *mat.Dense, assignments []int, centroids []float64, k, workers, groupRows int) ([]exec.GroupPartial[*AssignPartial], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("kmeans assign")
-	scan.GroupRows = groupRows
-	kern := assignKernel(assignments, centroids, k, d)
-	return exec.ReduceRowGroups(scan,
-		func() *AssignPartial { return NewAssignPartial(k, d) },
-		func(p *AssignPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
+// assignPass is one Lloyd assignment pass: nearest centroid per row,
+// written to the scratch assignments (per-row disjoint), and the
+// per-cluster sums, counts and inertia.
+var assignPass = fit.Declare("kmeans/assign", func(sh *fit.Shard, a assignArg) (exec.Aggregate[*AssignPartial], error) {
+	k, d := a.K, sh.Cols
+	assignments, centroids := scratchOf(sh).Assignments, a.Centroids
+	return exec.Aggregate[*AssignPartial]{
+		Name:  "kmeans assign",
+		Alloc: func() *AssignPartial { return &AssignPartial{Sums: make([]float64, k*d), Counts: make([]int, k)} },
+		Block: exec.EachRow(d, func(p *AssignPartial, i int, row []float64) {
+			bestC, best := blas.NearestRow(row, k, d, centroids, d)
+			if assignments[i] != bestC {
+				p.Changed++
+				assignments[i] = bestC
+			}
+			p.Inertia += best
+			blas.Axpy(1, row, p.Sums[bestC*d:(bestC+1)*d])
+			p.Counts[bestC]++
+		}),
+		Merge: func(dst, src *AssignPartial) {
+			dst.Inertia += src.Inertia
+			dst.Changed += src.Changed
+			blas.Axpy(1, src.Sums, dst.Sums)
+			for c, n := range src.Counts {
+				dst.Counts[c] += n
 			}
 		},
-		MergeAssign)
-}
+	}, nil
+})
 
-// seedKernel returns the per-row accumulation of one k-means++ seeding
-// pass: tighten dist[i] against the newest centroid and accumulate the
-// total mass.
-func seedKernel(dist, prev []float64) func(mass *float64, i int, row []float64) {
-	return func(mass *float64, i int, row []float64) {
-		if d2 := blas.SqDistBounded(row, prev, dist[i]); d2 < dist[i] {
-			dist[i] = d2
+// seedArg is the kmeans/seed pass's argument: the newest centroid.
+type seedArg struct{ Prev []float64 }
+
+// seedPass is one k-means++ seeding pass: tighten each row's scratch
+// distance against the newest centroid (per-row disjoint) and total
+// the probability mass.
+var seedPass = fit.Declare("kmeans/seed", func(sh *fit.Shard, a seedArg) (exec.Aggregate[*float64], error) {
+	sc := scratchOf(sh)
+	if sc.Dist == nil {
+		sc.Dist = make([]float64, sh.Rows)
+		for i := range sc.Dist {
+			sc.Dist[i] = math.Inf(1)
 		}
-		*mass += dist[i]
 	}
-}
-
-// SeedGroups runs one k-means++ seeding pass against the newest
-// centroid prev, updating dist in place, and returns the per-group
-// mass partials — the worker half of a distributed seeding round.
-func SeedGroups(ctx context.Context, x *mat.Dense, dist, prev []float64, workers, groupRows int) ([]exec.GroupPartial[*float64], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("kmeans++ seed")
-	scan.GroupRows = groupRows
-	kern := seedKernel(dist, prev)
-	return exec.ReduceRowGroups(scan,
-		func() *float64 { return new(float64) },
-		func(mass *float64, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(mass, i, block[(i-lo)*stride:(i-lo)*stride+d])
+	dist, prev := sc.Dist, a.Prev
+	return exec.Aggregate[*float64]{
+		Name:  "kmeans++ seed",
+		Alloc: func() *float64 { return new(float64) },
+		Block: exec.EachRow(sh.Cols, func(mass *float64, i int, row []float64) {
+			if d2 := blas.SqDistBounded(row, prev, dist[i]); d2 < dist[i] {
+				dist[i] = d2
 			}
-		},
-		func(dst, src *float64) { *dst += *src })
-}
+			*mass += dist[i]
+		}),
+		Merge: func(dst, src *float64) { *dst += *src },
+	}, nil
+})
 
 // SamplePrefix walks dist in order, accumulating into acc, and returns
 // the first index where the running sum reaches target. Shards chain
@@ -200,7 +206,7 @@ func SamplePrefix(dist []float64, acc, target float64) (chosen int, newAcc float
 
 // DataPlane is the data-touching surface of a k-means fit: everything
 // RunPlane needs from the row set, local or distributed. A plane is
-// per-fit — it owns the fit's assignment vector and seeding distances.
+// per-fit — its shards own the fit's Scratch.
 //
 // Implementations must reproduce the local floating-point operation
 // order exactly (grouped block reduction for the passes, sequential
@@ -227,60 +233,43 @@ type DataPlane interface {
 	GatherAssignments(ctx context.Context) ([]int, error)
 }
 
-// LocalPlane is the single-machine DataPlane over a matrix.
-type LocalPlane struct {
-	x           *mat.Dense
-	workers     int
-	assignments []int
-	dist        []float64
-}
-
-// NewLocalPlane wraps x for a fit. workers <= 0 defers to the engine
-// hint and then NumCPU.
-func NewLocalPlane(x *mat.Dense, workers int) *LocalPlane {
-	return &LocalPlane{x: x, workers: workers, assignments: make([]int, x.Rows())}
-}
+// SourcePlane is the scanning half of a DataPlane over any source of
+// rows: the two passes, reduced wherever the rows are. LocalPlane and
+// the distributed coordinator's plane embed it.
+type SourcePlane struct{ Src fit.Source }
 
 // Dims implements DataPlane.
-func (p *LocalPlane) Dims() (int, int) { return p.x.Dims() }
+func (p SourcePlane) Dims() (int, int) { return p.Src.Dims() }
 
-// AssignPass implements DataPlane with one blocked scan on the shared
-// execution layer: each block accumulates its own sums/counts/inertia,
-// partials merge in block order within canonical row groups, so the
-// result is identical for any worker count. assignments[i] writes are
-// per-row disjoint.
-func (p *LocalPlane) AssignPass(ctx context.Context, centroids []float64, k int) (*AssignPartial, float64, error) {
-	d := p.x.Cols()
-	kern := assignKernel(p.assignments, centroids, k, d)
-	return exec.ReduceRows(p.x.ScanCtx(ctx, p.workers).Named("kmeans assign"),
-		func() *AssignPartial { return NewAssignPartial(k, d) },
-		func(ap *AssignPartial, i int, row []float64) { kern(ap, i, row) },
-		MergeAssign)
+// AssignPass implements DataPlane.
+func (p SourcePlane) AssignPass(ctx context.Context, centroids []float64, k int) (*AssignPartial, float64, error) {
+	return fit.Reduce(ctx, p.Src, assignPass, assignArg{Centroids: centroids, K: k})
 }
 
-// SeedPass implements DataPlane (dist[i] updates are per-row disjoint,
-// the mass total reduces in block order).
-func (p *LocalPlane) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
-	if p.dist == nil {
-		p.dist = make([]float64, p.x.Rows())
-		for i := range p.dist {
-			p.dist[i] = math.Inf(1)
-		}
-	}
-	kern := seedKernel(p.dist, prev)
-	mass, stall, err := exec.ReduceRows(p.x.ScanCtx(ctx, p.workers).Named("kmeans++ seed"),
-		func() *float64 { return new(float64) },
-		func(mass *float64, i int, row []float64) { kern(mass, i, row) },
-		func(dst, src *float64) { *dst += *src })
+// SeedPass implements DataPlane.
+func (p SourcePlane) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
+	mass, stall, err := fit.Reduce(ctx, p.Src, seedPass, seedArg{Prev: prev})
 	if err != nil {
 		return 0, 0, err
 	}
 	return *mass, stall, nil
 }
 
+// LocalPlane is the single-machine DataPlane over a matrix.
+type LocalPlane struct {
+	SourcePlane
+	x *mat.Dense
+}
+
+// NewLocalPlane wraps x for a fit. workers <= 0 defers to the engine
+// hint and then NumCPU.
+func NewLocalPlane(x *mat.Dense, workers int) *LocalPlane {
+	return &LocalPlane{SourcePlane: SourcePlane{Src: fit.NewLocal(x, nil, workers)}, x: x}
+}
+
 // SamplePrefix implements DataPlane.
 func (p *LocalPlane) SamplePrefix(_ context.Context, target float64) (int, error) {
-	chosen, _, found := SamplePrefix(p.dist, 0, target)
+	chosen, _, found := SamplePrefix(scratchOf(p.Src.Shard()).Dist, 0, target)
 	if !found {
 		chosen = p.x.Rows() - 1
 	}
@@ -296,7 +285,7 @@ func (p *LocalPlane) FetchRow(_ context.Context, i int, dst []float64) (float64,
 
 // GatherAssignments implements DataPlane.
 func (p *LocalPlane) GatherAssignments(context.Context) ([]int, error) {
-	return p.assignments, nil
+	return scratchOf(p.Src.Shard()).Assignments, nil
 }
 
 type rng struct{ s uint64 }

@@ -45,12 +45,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ResolveOptions applies the defaults Train and TrainExact would —
-// exported so the distributed coordinator closes the normal equations
-// (and builds its remote objective) with the same ridge penalty a
-// local fit uses.
-func ResolveOptions(opts Options) Options { return opts.withDefaults() }
-
 // Model is a fitted linear regressor.
 type Model struct {
 	// Weights holds one coefficient per feature.
@@ -99,195 +93,152 @@ func (m *Model) R2(x *mat.Dense, y []float64) float64 {
 	return 1 - m.MSE(x, y)*float64(n)/ssTot
 }
 
-// Objective is the ridge least-squares loss, evaluated in blocked
-// (optionally parallel) scans on the shared execution layer; it
-// implements optimize.Objective.
+// Objective is the ridge least-squares loss over a source of rows; it
+// implements optimize.Objective. Each Eval is one lsqPass reduction —
+// a blocked, worker-pooled scan in process, a broadcast round on a
+// cluster — bit-identical for any worker, backend or shard count.
 type Objective struct {
-	x         *mat.Dense
-	y         []float64
+	src       fit.Source
+	n, d      int
 	lambda    float64
 	intercept bool
-	// Workers sizes the worker pool per scan (<= 0: engine hint, then
-	// NumCPU). The result is bit-identical for every value.
-	Workers int
 	// Ctx, when non-nil, cancels data scans at block granularity.
 	Ctx context.Context
 	// Scans counts full passes.
 	Scans int
+	// err is the first reduction error; every later Eval returns NaN,
+	// which stops the optimizer, and TrainOn reports err.
+	err error
 }
 
-// NewObjective validates shapes.
+// NewObjective builds the objective over a local matrix and targets.
 func NewObjective(x *mat.Dense, y []float64, lambda float64, intercept bool) (*Objective, error) {
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("linreg: %d rows but %d targets", x.Rows(), len(y))
-	}
+	return newObjective(fit.NewLocal(x, y, 0), lambda, intercept)
+}
+
+// newObjective validates the options and the source's targets.
+func newObjective(src fit.Source, lambda float64, intercept bool) (*Objective, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("linreg: negative lambda %v", lambda)
 	}
-	return &Objective{x: x, y: y, lambda: lambda, intercept: intercept}, nil
+	if _, err := src.Shard().Targets(); err != nil {
+		return nil, err
+	}
+	o := &Objective{src: src, lambda: lambda, intercept: intercept}
+	o.n, o.d = src.Dims()
+	return o, nil
 }
 
 // Dim returns the parameter count.
 func (o *Objective) Dim() int {
-	d := o.x.Cols()
 	if o.intercept {
-		d++
+		return o.d + 1
 	}
-	return d
+	return o.d
 }
 
 // LsqPartial is one merge group's (or block's) share of the
-// least-squares loss and gradient — the shardable aggregate a
-// distributed evaluation ships. Fields are exported for gob.
+// least-squares loss and gradient — the pass's mergeable state. Fields
+// are exported for gob.
 type LsqPartial struct {
 	SSE, GB float64
 	GW      []float64
 }
 
-// NewLsqPartial returns a zero partial for d features.
-func NewLsqPartial(d int) *LsqPartial { return &LsqPartial{GW: make([]float64, d)} }
-
-// MergeLsq folds src into dst with the local objective's exact merge
-// operations.
-func MergeLsq(dst, src *LsqPartial) {
-	dst.SSE += src.SSE
-	dst.GB += src.GB
-	blas.Axpy(1, src.GW, dst.GW)
+// lsqArg is the linreg/lsq pass's argument.
+type lsqArg struct {
+	Params    []float64
+	Intercept bool
 }
 
-// lsqKernel returns the per-row accumulation at parameters (w, b).
-func lsqKernel(y, w []float64, b float64) func(p *LsqPartial, i int, row []float64) {
-	return func(p *LsqPartial, i int, row []float64) {
-		r := blas.Dot(row, w) + b - y[i]
-		p.SSE += r * r
-		blas.Axpy(r, row, p.GW)
-		p.GB += r
+// lsqPass is the data pass of the iterative path: squared error and
+// its gradient at Params.
+var lsqPass = fit.Declare("linreg/lsq", func(sh *fit.Shard, a lsqArg) (exec.Aggregate[*LsqPartial], error) {
+	y, err := sh.Targets()
+	if err != nil {
+		return exec.Aggregate[*LsqPartial]{}, err
 	}
-}
-
-// LsqGroups computes the per-merge-group partials of the ridge
-// least-squares objective at params — the worker half of a
-// distributed evaluation. groupRows must be the coordinator's global
-// group height.
-func LsqGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*LsqPartial], float64, error) {
-	d := x.Cols()
-	w := params[:d]
+	d := sh.Cols
+	w := a.Params[:d]
 	var b float64
-	if intercept {
-		b = params[d]
+	if a.Intercept {
+		b = a.Params[d]
 	}
-	scan := x.ScanCtx(ctx, workers).Named("linreg grad")
-	scan.GroupRows = groupRows
-	kern := lsqKernel(y, w, b)
-	return exec.ReduceRowGroups(scan,
-		func() *LsqPartial { return NewLsqPartial(d) },
-		func(p *LsqPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
+	return exec.Aggregate[*LsqPartial]{
+		Name:  "linreg grad",
+		Alloc: func() *LsqPartial { return &LsqPartial{GW: make([]float64, d)} },
+		Block: exec.EachRow(d, func(p *LsqPartial, i int, row []float64) {
+			r := blas.Dot(row, w) + b - y[i]
+			p.SSE += r * r
+			blas.Axpy(r, row, p.GW)
+			p.GB += r
+		}),
+		Merge: func(dst, src *LsqPartial) {
+			dst.SSE += src.SSE
+			dst.GB += src.GB
+			blas.Axpy(1, src.GW, dst.GW)
 		},
-		MergeLsq)
-}
+	}, nil
+})
 
-// FinishLsq turns the folded total into the mean regularized loss and
-// gradient — post-reduce arithmetic shared by the local and
-// distributed objectives.
-func FinishLsq(total *LsqPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
-	w := params[:d]
+// Eval computes ½·mean((w·x+b−y)²) + ½λ‖w‖² and its gradient with one
+// pass over the source.
+func (o *Objective) Eval(params, grad []float64) float64 {
+	if o.err != nil {
+		return math.NaN()
+	}
+	total, _, err := fit.Reduce(o.Ctx, o.src, lsqPass, lsqArg{Params: params, Intercept: o.intercept})
+	o.Scans++
+	if err != nil {
+		o.err = err
+		return math.NaN()
+	}
+	d, w := o.d, params[:o.d]
 	blas.Fill(grad, 0)
 	gw := grad[:d]
-	nf := float64(n)
+	nf := float64(o.n)
 	blas.AddScaled(gw, gw, 1/nf, total.GW)
-	if intercept {
+	if o.intercept {
 		grad[d] = total.GB / nf
 	}
 	loss := 0.5 * total.SSE / nf
-	loss += 0.5 * lambda * blas.Dot(w, w)
-	blas.Axpy(lambda, w, gw)
+	loss += 0.5 * o.lambda * blas.Dot(w, w)
+	blas.Axpy(o.lambda, w, gw)
 	return loss
-}
-
-// Eval computes ½·mean((w·x+b−y)²) + ½λ‖w‖² and its gradient in one
-// blocked pass over the data.
-func (o *Objective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	w := params[:d]
-	var b float64
-	if o.intercept {
-		b = params[d]
-	}
-	kern := lsqKernel(o.y, w, b)
-	total, _, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.Workers).Named("linreg grad"),
-		func() *LsqPartial { return NewLsqPartial(d) },
-		func(p *LsqPartial, i int, row []float64) { kern(p, i, row) },
-		MergeLsq)
-	o.Scans++
-	return FinishLsq(total, o.x.Rows(), d, o.lambda, o.intercept, params, grad)
-}
-
-// RemoteObjective is the distributed least-squares objective: local
-// Dim/finish, remote reduction (see logreg.RemoteObjective).
-type RemoteObjective struct {
-	N, D      int
-	Lambda    float64
-	Intercept bool
-	Reduce    func(params []float64) (*LsqPartial, error)
-	Err       error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteObjective) Dim() int {
-	if o.Intercept {
-		return o.D + 1
-	}
-	return o.D
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
-	if err != nil {
-		o.Err = err
-		return math.NaN()
-	}
-	return FinishLsq(total, o.N, o.D, o.Lambda, o.Intercept, params, grad)
 }
 
 // Train fits the model with blocked L-BFGS scans. ctx cancels the fit
 // within one data block.
 func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainOn(ctx, fit.NewLocal(x, y, opts.Workers), opts)
+}
+
+// TrainOn is Train over any source of rows — the one iterative driver
+// local and distributed fits share.
+func TrainOn(ctx context.Context, src fit.Source, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewObjective(x, y, o.Lambda, !o.NoIntercept)
+	obj, err := newObjective(src, o.Lambda, !o.NoIntercept)
 	if err != nil {
 		return nil, err
 	}
-	obj.Workers = o.Workers
 	obj.Ctx = ctx
-	return TrainWith(ctx, obj, x.Cols(), opts)
-}
-
-// TrainWith runs the L-BFGS driver over any objective with linreg's
-// parameterization — shared by the local and distributed paths so
-// both build identical Models.
-func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options) (*Model, error) {
-	o := opts.withDefaults()
 	res, err := optimize.LBFGS(ctx, obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
 		MaxIterations: o.MaxIterations,
 		GradTol:       o.GradTol,
 		Callback:      o.Hook("linreg"),
 	})
+	if obj.err != nil {
+		return nil, obj.err
+	}
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Weights: res.X[:d]}
+	m := &Model{Weights: res.X[:obj.d]}
 	if !o.NoIntercept {
-		m.Intercept = res.X[d]
+		m.Intercept = res.X[obj.d]
 	}
 	return m, nil
 }
@@ -298,128 +249,90 @@ func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options)
 // intercept is handled by augmenting with a constant column
 // (unregularized). ctx cancels the Gram scan within one data block.
 func TrainExact(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainExactOn(ctx, fit.NewLocal(x, y, opts.Workers), opts)
+}
+
+// TrainExactOn is TrainExact over any source of rows: one gramPass
+// reduction, then the ridge and the Cholesky solve.
+func TrainExactOn(ctx context.Context, src fit.Source, opts Options) (*Model, error) {
 	o := opts.withDefaults()
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("linreg: %d rows but %d targets", x.Rows(), len(y))
-	}
-	d := x.Cols()
-	total, _, err := exec.ReduceRows(gramScan(x.ScanCtx(ctx, o.Workers), d, o.NoIntercept, 0),
-		func() *GramPartial { return NewGramPartial(d, o.NoIntercept) },
-		gramRowKernel(y, d, o.NoIntercept),
-		MergeGram)
+	total, _, err := fit.Reduce(ctx, src, gramPass, gramArg{NoIntercept: o.NoIntercept})
 	if err != nil {
 		return nil, err
 	}
-	return ModelFromGram(total, x.Rows(), d, o.Lambda, o.NoIntercept)
-}
-
-// GramPartial is one merge group's (or block's) share of the ridge
-// normal equations: a p×p Gram block and the Xᵀy right-hand side —
-// the shardable aggregate of the exact path. Fields are exported for
-// gob.
-type GramPartial struct {
-	Gram, RHS []float64
-}
-
-// NewGramPartial returns a zero partial for d features (p = d+1 with
-// an intercept column).
-func NewGramPartial(d int, noIntercept bool) *GramPartial {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	return &GramPartial{Gram: make([]float64, p*p), RHS: make([]float64, p)}
-}
-
-// MergeGram folds src into dst with the exact merge the local scan
-// uses.
-func MergeGram(dst, src *GramPartial) {
-	blas.Axpy(1, src.Gram, dst.Gram)
-	blas.Axpy(1, src.RHS, dst.RHS)
-}
-
-// gramScan labels and block-sizes a Gram scan: each partial carries a
-// p×p block, so blocks hold at least ~p rows and the O(p²) zero+merge
-// amortizes to O(p) per row.
-func gramScan(scan exec.RowScan, d int, noIntercept bool, groupRows int) exec.RowScan {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	scan = scan.Named("linreg gram")
-	scan.GroupRows = groupRows
-	if minBytes := p * p * 8; minBytes > exec.DefaultBlockBytes {
-		scan.BlockBytes = minBytes
-	}
-	return scan
-}
-
-// gramRowKernel returns the per-row normal-equation accumulation.
-func gramRowKernel(y []float64, d int, noIntercept bool) func(g *GramPartial, i int, row []float64) {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	return func(g *GramPartial, i int, row []float64) {
-		for a := 0; a < d; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			blas.Axpy(va, row, g.Gram[a*p:a*p+d])
-			if !noIntercept {
-				g.Gram[a*p+d] += va
-			}
-			g.RHS[a] += va * y[i]
-		}
-		if !noIntercept {
-			blas.Axpy(1, row, g.Gram[d*p:d*p+d])
-			g.Gram[d*p+d]++
-			g.RHS[d] += y[i]
-		}
-	}
-}
-
-// GramGroups computes the per-merge-group normal-equation partials —
-// the worker half of a distributed exact fit. groupRows must be the
-// coordinator's global group height.
-func GramGroups(ctx context.Context, x *mat.Dense, y []float64, noIntercept bool, workers, groupRows int) ([]exec.GroupPartial[*GramPartial], float64, error) {
-	d := x.Cols()
-	kern := gramRowKernel(y, d, noIntercept)
-	return exec.ReduceRowGroups(gramScan(x.ScanCtx(ctx, workers), d, noIntercept, groupRows),
-		func() *GramPartial { return NewGramPartial(d, noIntercept) },
-		func(g *GramPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(g, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeGram)
-}
-
-// ModelFromGram applies the ridge and solves the folded normal
-// equations by Cholesky — the closing arithmetic shared by the local
-// and distributed exact paths. n is the global row count (the ridge
-// is scaled by it).
-func ModelFromGram(total *GramPartial, n, d int, lambda float64, noIntercept bool) (*Model, error) {
-	p := d
-	if !noIntercept {
-		p++
-	}
+	n, d := src.Dims()
+	p := len(total.RHS)
 	gram, rhs := total.Gram, total.RHS
-	// Ridge on weights only.
+	// Ridge on weights only, scaled by the global row count.
 	for a := 0; a < d; a++ {
-		gram[a*p+a] += lambda * float64(n)
+		gram[a*p+a] += o.Lambda * float64(n)
 	}
 	w, err := choleskySolve(gram, rhs, p)
 	if err != nil {
 		return nil, err
 	}
 	m := &Model{Weights: w[:d]}
-	if !noIntercept {
+	if !o.NoIntercept {
 		m.Intercept = w[d]
 	}
 	return m, nil
 }
+
+// GramPartial is one merge group's (or block's) share of the ridge
+// normal equations: a p×p Gram block and the Xᵀy right-hand side (p =
+// d+1 with an intercept column) — the exact path's mergeable state.
+// Fields are exported for gob.
+type GramPartial struct {
+	Gram, RHS []float64
+}
+
+// gramArg is the linreg/gram pass's argument.
+type gramArg struct{ NoIntercept bool }
+
+// gramPass is the exact path's single data pass: the normal equations.
+// Each state carries a p×p block, so blocks hold at least ~p rows and
+// the O(p²) zero+merge amortizes to O(p) per row.
+var gramPass = fit.Declare("linreg/gram", func(sh *fit.Shard, a gramArg) (exec.Aggregate[*GramPartial], error) {
+	y, err := sh.Targets()
+	if err != nil {
+		return exec.Aggregate[*GramPartial]{}, err
+	}
+	d, noIntercept := sh.Cols, a.NoIntercept
+	p := d
+	if !noIntercept {
+		p++
+	}
+	agg := exec.Aggregate[*GramPartial]{
+		Name:  "linreg gram",
+		Alloc: func() *GramPartial { return &GramPartial{Gram: make([]float64, p*p), RHS: make([]float64, p)} },
+		Block: exec.EachRow(d, func(g *GramPartial, i int, row []float64) {
+			for a := 0; a < d; a++ {
+				va := row[a]
+				if va == 0 {
+					continue
+				}
+				blas.Axpy(va, row, g.Gram[a*p:a*p+d])
+				if !noIntercept {
+					g.Gram[a*p+d] += va
+				}
+				g.RHS[a] += va * y[i]
+			}
+			if !noIntercept {
+				blas.Axpy(1, row, g.Gram[d*p:d*p+d])
+				g.Gram[d*p+d]++
+				g.RHS[d] += y[i]
+			}
+		}),
+		Merge: func(dst, src *GramPartial) {
+			blas.Axpy(1, src.Gram, dst.Gram)
+			blas.Axpy(1, src.RHS, dst.RHS)
+		},
+	}
+	if minBytes := p * p * 8; minBytes > exec.DefaultBlockBytes {
+		agg.BlockBytes = minBytes
+	}
+	return agg, nil
+})
 
 // choleskySolve solves Ax=b for symmetric positive-definite A (n×n,
 // row-major), overwriting nothing.

@@ -46,9 +46,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ResolveOptions applies the defaults Train would — exported so the
-// distributed coordinator builds its remote objective with the same
-// lambda and optimizer bounds a local fit uses.
+// ResolveOptions applies the defaults Train would, for callers that
+// build the objective themselves and drive it through TrainWith.
 func ResolveOptions(opts Options) Options { return opts.withDefaults() }
 
 // Model is a trained binary logistic regression classifier.
@@ -162,25 +161,35 @@ func (o *Objective) Eval(params, grad []float64) float64 {
 // (possibly memory-mapped) data on the shared execution layer; the
 // model is bit-identical for every worker count and every storage
 // backend. ctx cancels the fit within one data block (the returned
-// error is then ctx.Err()).
+// error is then ctx.Err()). Labels must be 0 or 1.
 func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainOn(ctx, fit.NewLocal(x, y, opts.Workers), false, 0, opts)
+}
+
+// TrainOn is Train over any source of rows — the one driver local and
+// distributed fits share. With binarize set, the source's labels equal
+// to positive are the 1 class; otherwise they must already be 0 or 1.
+func TrainOn(ctx context.Context, src fit.Source, binarize bool, positive float64, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewParallelObjective(x, y, o.Lambda, !o.NoIntercept, o.Workers)
+	obj, err := newObjective(src, o.Lambda, !o.NoIntercept, binarize, positive)
 	if err != nil {
 		return nil, err
 	}
 	obj.Ctx = ctx
-	return TrainWith(ctx, obj, x.Cols(), opts)
+	m, err := TrainWith(ctx, obj, obj.d, opts)
+	if obj.err != nil {
+		return nil, obj.err
+	}
+	return m, err
 }
 
 // TrainWith runs the L-BFGS driver over any objective using logreg's
 // parameterization ([w₀..w_{d-1}, b] with an intercept) — the half of
-// Train shared with the distributed path, so a coordinator driving a
-// RemoteObjective builds a Model through the exact optimizer steps a
-// local fit takes.
+// TrainOn that callers wrapping the objective (to time it, say) drive
+// themselves.
 func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	x0 := make([]float64, obj.Dim())

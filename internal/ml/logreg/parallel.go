@@ -7,129 +7,126 @@ import (
 
 	"m3/internal/blas"
 	"m3/internal/exec"
+	"m3/internal/fit"
 	"m3/internal/mat"
 )
 
-// ParallelObjective evaluates the binary logistic-regression loss on
-// the shared chunked-execution layer (internal/exec): the row space is
-// partitioned into page-aligned blocks, blocks run on a worker pool,
-// and per-block partial losses and gradients reduce in block order.
-// Because the partition never depends on the worker count, results
-// are bit-identical for any workers value (they may differ from the
-// serial Objective in the last bits, as any floating-point
-// re-association does).
-//
-// Backends whose accounting is unsafe under concurrency (the
-// simulated Paged store, trace recorders) are detected by the layer
-// and scanned with one worker — same blocks, same reduce, identical
-// numbers.
-type ParallelObjective struct {
-	x         *mat.Dense
-	y         []float64
-	lambda    float64
-	intercept bool
-	workers   int
-
-	// Ctx, when non-nil, cancels data scans at block granularity; the
-	// optimizer driving this objective must watch the same context,
-	// because Eval's return value after cancellation is a discarded
-	// partial.
-	Ctx context.Context
-	// Stall accumulates simulated paging stall seconds across Evals.
-	Stall float64
-	// Scans counts full passes over the data.
-	Scans int
-}
-
 // GradPartial is one merge group's (or block's) contribution to the
-// binary logistic loss and gradient — the shardable aggregate a
-// distributed evaluation ships. Fields are exported for gob.
+// binary logistic loss and gradient — the pass's mergeable state.
+// Fields are exported for gob.
 type GradPartial struct {
 	Loss float64
 	Grad []float64 // d weights then bias
 }
 
-// NewGradPartial returns a zero partial for d features.
-func NewGradPartial(d int) *GradPartial { return &GradPartial{Grad: make([]float64, d+1)} }
-
-// MergeGrad folds src into dst — the exact merge the local objective
-// uses, exported so a coordinator refolds shipped partials with the
-// same floating-point operations.
-func MergeGrad(dst, src *GradPartial) {
-	dst.Loss += src.Loss
-	blas.Axpy(1, src.Grad, dst.Grad)
+// gradArg is the logreg/grad pass's argument: the point to evaluate
+// at and which label view to read.
+type gradArg struct {
+	Params    []float64
+	Intercept bool
+	Binarize  bool
+	Positive  float64
 }
 
-// gradKernel returns the per-row accumulation at parameters (w, b).
-func gradKernel(y []float64, w []float64, b float64, d int) func(p *GradPartial, i int, row []float64) {
-	return func(p *GradPartial, i int, row []float64) {
-		z := blas.Dot(row, w) + b
-		prob, l := sigmoidLoss(z, y[i])
-		p.Loss += l
-		diff := prob - y[i]
-		blas.Axpy(diff, row, p.Grad[:d])
-		p.Grad[d] += diff
+// gradPass is the one data pass of binary logistic regression: the
+// summed log-loss and gradient at Params.
+var gradPass = fit.Declare("logreg/grad", func(sh *fit.Shard, a gradArg) (exec.Aggregate[*GradPartial], error) {
+	y, err := sh.Binary(a.Binarize, a.Positive)
+	if err != nil {
+		return exec.Aggregate[*GradPartial]{}, err
 	}
-}
-
-// GradGroups computes the per-merge-group loss/gradient partials of
-// the binary logistic objective at params — the worker half of a
-// distributed evaluation. groupRows must be the coordinator's global
-// group height (exec.GroupRows of the global row count) so the shard
-// partials align with the canonical grouped fold.
-func GradGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*GradPartial], float64, error) {
-	d := x.Cols()
-	w := params[:d]
+	d := sh.Cols
+	w := a.Params[:d]
 	var b float64
-	if intercept {
-		b = params[d]
+	if a.Intercept {
+		b = a.Params[d]
 	}
-	scan := x.ScanCtx(ctx, workers).Named("logreg grad")
-	scan.GroupRows = groupRows
-	kern := gradKernel(y, w, b, d)
-	return exec.ReduceRowGroups(scan,
-		func() *GradPartial { return NewGradPartial(d) },
-		func(p *GradPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
+	return exec.Aggregate[*GradPartial]{
+		Name:  "logreg grad",
+		Alloc: func() *GradPartial { return &GradPartial{Grad: make([]float64, d+1)} },
+		Block: exec.EachRow(d, func(p *GradPartial, i int, row []float64) {
+			z := blas.Dot(row, w) + b
+			prob, l := sigmoidLoss(z, y[i])
+			p.Loss += l
+			diff := prob - y[i]
+			blas.Axpy(diff, row, p.Grad[:d])
+			p.Grad[d] += diff
+		}),
+		Merge: func(dst, src *GradPartial) {
+			dst.Loss += src.Loss
+			blas.Axpy(1, src.Grad, dst.Grad)
 		},
-		MergeGrad)
-}
+	}, nil
+})
 
-// FinishGrad turns the folded total partial into the mean regularized
-// loss and gradient — the post-reduce arithmetic shared verbatim by
-// the local and distributed objectives.
-func FinishGrad(total *GradPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
-	w := params[:d]
-	blas.Fill(grad, 0)
-	nf := float64(n)
-	loss := total.Loss / nf
-	blas.AddScaled(grad[:d], grad[:d], 1/nf, total.Grad[:d])
-	if intercept {
-		grad[d] = total.Grad[d] / nf
+// GradGroups computes the per-merge-group partials of the logreg/grad
+// pass over x at params — what a distributed worker computes for its
+// shard, with groupRows the global group height. benchmark/layers.go
+// is its only caller (it prices a shard scan against a whole round);
+// workers reach the pass through fit.Serve.
+func GradGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*GradPartial], float64, error) {
+	agg, err := gradPass.New(&fit.Shard{Rows: x.Rows(), Cols: x.Cols(), Labels: y}, gradArg{Params: params, Intercept: intercept})
+	if err != nil {
+		return nil, 0, err
 	}
-	loss += 0.5 * lambda * blas.Dot(w, w)
-	blas.Axpy(lambda, w, grad[:d])
-	return loss
+	scan := x.ScanCtx(ctx, workers)
+	scan.GroupRows = groupRows
+	return agg.Groups(scan)
 }
 
-// NewParallelObjective builds a block-parallel objective. workers <= 0
-// defers to the matrix's engine hint and then runtime.NumCPU(); the
-// execution layer clamps to the block count either way.
+// ParallelObjective is the regularized binary logistic loss over a
+// source of rows. Each Eval is one gradPass reduction — a blocked,
+// worker-pooled scan in process, a broadcast round on a cluster — so
+// the value is bit-identical for any worker count, backend or shard
+// count (it may differ from the serial Objective in the last bits, as
+// any floating-point re-association does); the arithmetic after the
+// reduction is local.
+type ParallelObjective struct {
+	src       fit.Source
+	n, d      int
+	lambda    float64
+	intercept bool
+	binarize  bool
+	positive  float64
+	workers   int
+
+	// Ctx, when non-nil, cancels data scans at block granularity; the
+	// optimizer driving this objective must watch the same context,
+	// because Eval's return value after cancellation is NaN.
+	Ctx context.Context
+	// Stall accumulates simulated paging stall seconds across Evals.
+	Stall float64
+	// Scans counts full passes over the data.
+	Scans int
+	// err is the first reduction error; every later Eval returns NaN,
+	// which stops the optimizer, and TrainOn reports err.
+	err error
+}
+
+// NewParallelObjective builds the objective over a local matrix with
+// 0/1 labels. workers <= 0 defers to the matrix's engine hint and then
+// runtime.NumCPU(); the execution layer clamps to the block count
+// either way.
 func NewParallelObjective(x *mat.Dense, y []float64, lambda float64, intercept bool, workers int) (*ParallelObjective, error) {
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("logreg: %d rows but %d labels", x.Rows(), len(y))
+	o, err := newObjective(fit.NewLocal(x, y, workers), lambda, intercept, false, 0)
+	if err != nil {
+		return nil, err
 	}
-	for i, v := range y {
-		if v != 0 && v != 1 {
-			return nil, fmt.Errorf("logreg: label[%d] = %v, want 0 or 1", i, v)
-		}
-	}
+	o.workers = workers
+	return o, nil
+}
+
+// newObjective validates the options and the source's label view.
+func newObjective(src fit.Source, lambda float64, intercept, binarize bool, positive float64) (*ParallelObjective, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
 	}
-	return &ParallelObjective{x: x, y: y, lambda: lambda, intercept: intercept, workers: workers}, nil
+	if _, err := src.Shard().Binary(binarize, positive); err != nil {
+		return nil, err
+	}
+	o := &ParallelObjective{src: src, lambda: lambda, intercept: intercept, binarize: binarize, positive: positive}
+	o.n, o.d = src.Dims()
+	return o, nil
 }
 
 // Workers returns the configured worker knob (0 = inherit).
@@ -137,73 +134,40 @@ func (o *ParallelObjective) Workers() int { return o.workers }
 
 // Dim returns the parameter count.
 func (o *ParallelObjective) Dim() int {
-	d := o.x.Cols()
 	if o.intercept {
-		d++
+		return o.d + 1
 	}
-	return d
+	return o.d
 }
 
-// Eval computes the loss and gradient with one blocked parallel pass.
+// Eval computes the loss and gradient with one pass over the source.
 func (o *ParallelObjective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	w := params[:d]
-	var b float64
-	if o.intercept {
-		b = params[d]
+	if o.err != nil {
+		return math.NaN()
 	}
-
-	kern := gradKernel(o.y, w, b, d)
-	total, stall, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.workers).Named("logreg grad"),
-		func() *GradPartial { return NewGradPartial(d) },
-		func(p *GradPartial, i int, row []float64) { kern(p, i, row) },
-		MergeGrad)
+	total, stall, err := fit.Reduce(o.Ctx, o.src, gradPass,
+		gradArg{Params: params, Intercept: o.intercept, Binarize: o.binarize, Positive: o.positive})
 	o.Stall += stall
 	o.Scans++
-	return FinishGrad(total, o.x.Rows(), d, o.lambda, o.intercept, params, grad)
-}
-
-// RemoteObjective is the distributed half of the objective: Dim and
-// the FinishGrad arithmetic are local, while the data reduction is
-// delegated to Reduce — a coordinator's broadcast-params,
-// gather-group-partials, refold-in-row-order round. Because Reduce
-// returns the same folded GradPartial bits the local scan produces,
-// L-BFGS over a RemoteObjective retraces the local optimization
-// exactly. A Reduce error is recorded in Err and surfaces as a NaN
-// loss, which stops the optimizer; drivers must check Err first.
-type RemoteObjective struct {
-	N, D      int
-	Lambda    float64
-	Intercept bool
-	Reduce    func(params []float64) (*GradPartial, error)
-	Err       error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteObjective) Dim() int {
-	if o.Intercept {
-		return o.D + 1
-	}
-	return o.D
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
 	if err != nil {
-		o.Err = err
+		o.err = err
 		return math.NaN()
 	}
-	return FinishGrad(total, o.N, o.D, o.Lambda, o.Intercept, params, grad)
+	d, w := o.d, params[:o.d]
+	blas.Fill(grad, 0)
+	nf := float64(o.n)
+	loss := total.Loss / nf
+	blas.AddScaled(grad[:d], grad[:d], 1/nf, total.Grad[:d])
+	if o.intercept {
+		grad[d] = total.Grad[d] / nf
+	}
+	loss += 0.5 * o.lambda * blas.Dot(w, w)
+	blas.Axpy(o.lambda, w, grad[:d])
+	return loss
 }
 
 // sigmoidLoss returns (P(y=1|z), per-example log-loss) with the
-// numerically stable split on the sign of z. Train is block-parallel
-// through this objective; parallelism is configured with
-// Options.Workers (or the engine), not a separate entry point.
+// numerically stable split on the sign of z.
 func sigmoidLoss(z, y float64) (prob, loss float64) {
 	if z >= 0 {
 		ez := math.Exp(-z)

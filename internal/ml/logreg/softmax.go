@@ -13,49 +13,48 @@ import (
 )
 
 // SoftmaxObjective is the multinomial (softmax) generalization used
-// for the 10-class digit problem. Parameters are a row-major K×D
-// weight block followed by K biases when intercept is enabled.
+// for the 10-class digit problem, over a source of rows. Parameters
+// are a row-major K×D weight block followed by K biases when intercept
+// is enabled. Like ParallelObjective, each Eval is one pass reduction
+// wherever the rows are.
 type SoftmaxObjective struct {
-	x         *mat.Dense
-	y         []int
+	src       fit.Source
+	n, d      int
 	classes   int
 	lambda    float64
 	intercept bool
-	// Workers sizes the chunked-execution pool per scan (<= 0: engine
-	// hint, then NumCPU). The result is bit-identical for every value.
-	Workers int
 	// Ctx, when non-nil, cancels data scans at block granularity.
 	Ctx context.Context
 	// Stall accumulates simulated paging stall seconds.
 	Stall float64
 	// Scans counts full data passes.
 	Scans int
+	// err is the first reduction error (see ParallelObjective).
+	err error
 }
 
-// NewSoftmaxObjective validates inputs; labels must be in [0, classes).
+// NewSoftmaxObjective builds the objective over a local matrix; labels
+// must be in [0, classes).
 func NewSoftmaxObjective(x *mat.Dense, y []int, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
-	if classes < 2 {
-		return nil, fmt.Errorf("logreg: need >= 2 classes, got %d", classes)
-	}
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("logreg: %d rows but %d labels", x.Rows(), len(y))
-	}
-	for i, v := range y {
-		if v < 0 || v >= classes {
-			return nil, fmt.Errorf("logreg: label[%d] = %d outside [0,%d)", i, v, classes)
-		}
-	}
+	return newSoftmaxObjective(fit.NewLocalClasses(x, y, 0), classes, lambda, intercept)
+}
+
+// newSoftmaxObjective validates the options and the source's labels.
+func newSoftmaxObjective(src fit.Source, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
 	}
-	return &SoftmaxObjective{
-		x: x, y: y, classes: classes, lambda: lambda, intercept: intercept,
-	}, nil
+	if _, err := src.Shard().Classes(classes); err != nil {
+		return nil, err
+	}
+	o := &SoftmaxObjective{src: src, classes: classes, lambda: lambda, intercept: intercept}
+	o.n, o.d = src.Dims()
+	return o, nil
 }
 
 // Dim returns K*D (+K with intercept).
 func (o *SoftmaxObjective) Dim() int {
-	d := o.classes * o.x.Cols()
+	d := o.classes * o.d
 	if o.intercept {
 		d += o.classes
 	}
@@ -63,168 +62,117 @@ func (o *SoftmaxObjective) Dim() int {
 }
 
 // SoftmaxPartial is one merge group's (or block's) share of the
-// cross-entropy loss and gradient — the shardable aggregate a
-// distributed evaluation ships. The scores scratch is per state and
-// unexported, so gob ships only the aggregate fields.
+// cross-entropy loss and gradient — the pass's mergeable state. The
+// scores scratch is per state and unexported, so gob ships only the
+// aggregate fields.
 type SoftmaxPartial struct {
 	Loss   float64
 	Grad   []float64
 	scores []float64
 }
 
-// NewSoftmaxPartial returns a zero partial for a dim-parameter,
-// k-class objective.
-func NewSoftmaxPartial(dim, k int) *SoftmaxPartial {
-	return &SoftmaxPartial{Grad: make([]float64, dim), scores: make([]float64, k)}
+// softmaxArg is the softmax/grad pass's argument.
+type softmaxArg struct {
+	Params    []float64
+	Classes   int
+	Intercept bool
 }
 
-// MergeSoftmax folds src into dst with the local objective's exact
-// merge operations.
-func MergeSoftmax(dst, src *SoftmaxPartial) {
-	dst.Loss += src.Loss
-	blas.Axpy(1, src.Grad, dst.Grad)
-}
-
-// softmaxKernel returns the per-row accumulation at the given
-// parameter block (wAll row-major K×D, bias nil without intercept).
-func softmaxKernel(y []int, wAll, bias []float64, d, k int) func(p *SoftmaxPartial, i int, row []float64) {
-	return func(p *SoftmaxPartial, i int, row []float64) {
-		gw := p.Grad[:k*d]
-		// scores_c = w_c · row + b_c
-		maxScore := math.Inf(-1)
-		for c := 0; c < k; c++ {
-			s := blas.Dot(wAll[c*d:(c+1)*d], row)
-			if bias != nil {
-				s += bias[c]
-			}
-			p.scores[c] = s
-			if s > maxScore {
-				maxScore = s
-			}
-		}
-		// log-sum-exp with max shift
-		var sum float64
-		for c := 0; c < k; c++ {
-			p.scores[c] = math.Exp(p.scores[c] - maxScore)
-			sum += p.scores[c]
-		}
-		logSum := math.Log(sum) + maxScore
-		yi := y[i]
-		// loss_i = logSum - score_{yi}; recover shifted score.
-		p.Loss += logSum - (math.Log(p.scores[yi]) + maxScore)
-		inv := 1 / sum
-		for c := 0; c < k; c++ {
-			prob := p.scores[c] * inv
-			diff := prob
-			if c == yi {
-				diff -= 1
-			}
-			if diff != 0 {
-				blas.Axpy(diff, row, gw[c*d:(c+1)*d])
-				if bias != nil {
-					p.Grad[k*d+c] += diff
-				}
-			}
-		}
+// softmaxPass is the one data pass of softmax regression: the summed
+// cross-entropy and gradient at Params (row-major K×D weights, then K
+// biases with an intercept).
+var softmaxPass = fit.Declare("softmax/grad", func(sh *fit.Shard, a softmaxArg) (exec.Aggregate[*SoftmaxPartial], error) {
+	y, err := sh.Classes(a.Classes)
+	if err != nil {
+		return exec.Aggregate[*SoftmaxPartial]{}, err
 	}
-}
-
-// SoftmaxGroups computes the per-merge-group partials of the softmax
-// objective at params — the worker half of a distributed evaluation.
-// groupRows must be the coordinator's global group height.
-func SoftmaxGroups(ctx context.Context, x *mat.Dense, y []int, classes int, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*SoftmaxPartial], float64, error) {
-	d := x.Cols()
-	k := classes
-	wAll := params[:k*d]
+	d, k := sh.Cols, a.Classes
+	wAll := a.Params[:k*d]
 	var bias []float64
 	dim := k * d
-	if intercept {
-		bias = params[k*d : k*d+k]
+	if a.Intercept {
+		bias = a.Params[k*d : k*d+k]
 		dim += k
 	}
-	scan := x.ScanCtx(ctx, workers).Named("softmax grad")
-	scan.GroupRows = groupRows
-	kern := softmaxKernel(y, wAll, bias, d, k)
-	return exec.ReduceRowGroups(scan,
-		func() *SoftmaxPartial { return NewSoftmaxPartial(dim, k) },
-		func(p *SoftmaxPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
+	return exec.Aggregate[*SoftmaxPartial]{
+		Name: "softmax grad",
+		Alloc: func() *SoftmaxPartial {
+			return &SoftmaxPartial{Grad: make([]float64, dim), scores: make([]float64, k)}
 		},
-		MergeSoftmax)
-}
+		Block: exec.EachRow(d, func(p *SoftmaxPartial, i int, row []float64) {
+			gw := p.Grad[:k*d]
+			// scores_c = w_c · row + b_c
+			maxScore := math.Inf(-1)
+			for c := 0; c < k; c++ {
+				s := blas.Dot(wAll[c*d:(c+1)*d], row)
+				if bias != nil {
+					s += bias[c]
+				}
+				p.scores[c] = s
+				if s > maxScore {
+					maxScore = s
+				}
+			}
+			// log-sum-exp with max shift
+			var sum float64
+			for c := 0; c < k; c++ {
+				p.scores[c] = math.Exp(p.scores[c] - maxScore)
+				sum += p.scores[c]
+			}
+			logSum := math.Log(sum) + maxScore
+			yi := y[i]
+			// loss_i = logSum - score_{yi}; recover shifted score.
+			p.Loss += logSum - (math.Log(p.scores[yi]) + maxScore)
+			inv := 1 / sum
+			for c := 0; c < k; c++ {
+				prob := p.scores[c] * inv
+				diff := prob
+				if c == yi {
+					diff -= 1
+				}
+				if diff != 0 {
+					blas.Axpy(diff, row, gw[c*d:(c+1)*d])
+					if bias != nil {
+						p.Grad[k*d+c] += diff
+					}
+				}
+			}
+		}),
+		Merge: func(dst, src *SoftmaxPartial) {
+			dst.Loss += src.Loss
+			blas.Axpy(1, src.Grad, dst.Grad)
+		},
+	}, nil
+})
 
-// FinishSoftmax turns the folded total into the mean regularized loss
-// and gradient — post-reduce arithmetic shared by the local and
-// distributed objectives.
-func FinishSoftmax(total *SoftmaxPartial, n, d, k int, lambda float64, intercept bool, params, grad []float64) float64 {
+// Eval computes mean cross-entropy plus L2 penalty with one pass over
+// the source.
+func (o *SoftmaxObjective) Eval(params, grad []float64) float64 {
+	if o.err != nil {
+		return math.NaN()
+	}
+	d, k := o.d, o.classes
+	total, stall, err := fit.Reduce(o.Ctx, o.src, softmaxPass,
+		softmaxArg{Params: params, Classes: k, Intercept: o.intercept})
+	o.Stall += stall
+	o.Scans++
+	if err != nil {
+		o.err = err
+		return math.NaN()
+	}
 	wAll := params[:k*d]
 	blas.Fill(grad, 0)
 	gw := grad[:k*d]
-	nf := float64(n)
+	nf := float64(o.n)
 	loss := total.Loss / nf
 	blas.AddScaled(gw, gw, 1/nf, total.Grad[:k*d])
-	if intercept {
+	if o.intercept {
 		gb := grad[k*d : k*d+k]
 		blas.AddScaled(gb, gb, 1/nf, total.Grad[k*d:k*d+k])
 	}
-	loss += 0.5 * lambda * blas.Dot(wAll, wAll)
-	blas.Axpy(lambda, wAll, gw)
+	loss += 0.5 * o.lambda * blas.Dot(wAll, wAll)
+	blas.Axpy(o.lambda, wAll, gw)
 	return loss
-}
-
-// RemoteSoftmaxObjective mirrors RemoteObjective for the multiclass
-// loss: local Dim/finish, remote reduction.
-type RemoteSoftmaxObjective struct {
-	N, D, Classes int
-	Lambda        float64
-	Intercept     bool
-	Reduce        func(params []float64) (*SoftmaxPartial, error)
-	Err           error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteSoftmaxObjective) Dim() int {
-	dim := o.Classes * o.D
-	if o.Intercept {
-		dim += o.Classes
-	}
-	return dim
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteSoftmaxObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
-	if err != nil {
-		o.Err = err
-		return math.NaN()
-	}
-	return FinishSoftmax(total, o.N, o.D, o.Classes, o.Lambda, o.Intercept, params, grad)
-}
-
-// Eval computes mean cross-entropy plus L2 penalty in one blocked
-// pass over the data on the shared execution layer.
-func (o *SoftmaxObjective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	k := o.classes
-	wAll := params[:k*d]
-	var bias []float64
-	if o.intercept {
-		bias = params[k*d : k*d+k]
-	}
-
-	kern := softmaxKernel(o.y, wAll, bias, d, k)
-	total, stall, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.Workers).Named("softmax grad"),
-		func() *SoftmaxPartial { return NewSoftmaxPartial(o.Dim(), k) },
-		func(p *SoftmaxPartial, i int, row []float64) { kern(p, i, row) },
-		MergeSoftmax)
-	o.Stall += stall
-	o.Scans++
-	return FinishSoftmax(total, o.x.Rows(), d, k, o.lambda, o.intercept, params, grad)
 }
 
 // SoftmaxModel is a trained multiclass classifier.
@@ -245,33 +193,33 @@ type SoftmaxModel struct {
 // blocked, worker-pooled data scans. ctx cancels the fit within one
 // data block.
 func TrainSoftmax(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*SoftmaxModel, error) {
+	return TrainSoftmaxOn(ctx, fit.NewLocalClasses(x, y, opts.Workers), classes, opts)
+}
+
+// TrainSoftmaxOn is TrainSoftmax over any source of rows — the one
+// driver local and distributed fits share.
+func TrainSoftmaxOn(ctx context.Context, src fit.Source, classes int, opts Options) (*SoftmaxModel, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewSoftmaxObjective(x, y, classes, o.Lambda, !o.NoIntercept)
+	obj, err := newSoftmaxObjective(src, classes, o.Lambda, !o.NoIntercept)
 	if err != nil {
 		return nil, err
 	}
-	obj.Workers = o.Workers
 	obj.Ctx = ctx
-	return TrainSoftmaxWith(ctx, obj, x.Cols(), classes, opts)
-}
-
-// TrainSoftmaxWith runs the softmax L-BFGS driver over any objective
-// with the package's parameterization — shared by the local and
-// distributed paths so both build identical SoftmaxModels.
-func TrainSoftmaxWith(ctx context.Context, obj optimize.Objective, d, classes int, opts Options) (*SoftmaxModel, error) {
-	o := opts.withDefaults()
-	x0 := make([]float64, obj.Dim())
-	res, err := optimize.LBFGS(ctx, obj, x0, optimize.LBFGSParams{
+	res, err := optimize.LBFGS(ctx, obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
 		MaxIterations: o.MaxIterations,
 		GradTol:       o.GradTol,
 		Callback:      o.Hook("softmax"),
 	})
+	if obj.err != nil {
+		return nil, obj.err
+	}
 	if err != nil {
 		return nil, err
 	}
+	d := obj.d
 	m := &SoftmaxModel{
 		Weights: res.X[:classes*d], Classes: classes, Features: d, Result: res,
 	}

@@ -106,11 +106,34 @@ func (r *Result) Reconstruct(coords []float64, dst []float64) {
 	}
 }
 
+// InCols is the row width the projection consumes (D).
+func (r *Result) InCols() int { return r.Components.Cols() }
+
+// OutCols is the row width the projection produces (K).
+func (r *Result) OutCols() int { return r.Components.Rows() }
+
+// BlockKernel returns a fresh per-worker projection kernel for fused
+// scans, locally and on a shard worker: one private centering buffer,
+// no per-row allocation.
+func (r *Result) BlockKernel() exec.RowKernel {
+	centered := make([]float64, r.Components.Cols())
+	return func(dst, src []float64) []float64 {
+		r.TransformInto(src, dst, centered)
+		return dst
+	}
+}
+
 // Fit computes the decomposition. The data matrix is scanned exactly
 // twice (mean pass + covariance pass); all further work is on the
 // D×D covariance. ctx cancels either scan within one data block and
 // the power iteration between components.
 func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
+	return FitOn(ctx, fit.NewLocal(x, nil, opts.Workers), opts)
+}
+
+// FitOn is Fit over any source of rows — the one driver local and
+// distributed fits share: two pass reductions, then the decomposition.
+func FitOn(ctx context.Context, src fit.Source, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -118,62 +141,38 @@ func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	n, d := x.Dims()
+	n, d := src.Dims()
 	if o.Components > d {
 		return nil, fmt.Errorf("pca: %d components exceed %d features", o.Components, d)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("pca: need >= 2 rows, got %d", n)
 	}
-
-	// Pass 1: mean — blocked column sums (blas.SumRows per block) on
-	// the shared execution layer, merged in block order.
-	mean, _, err := exec.ReduceRowBlocks(x.ScanCtx(ctx, o.Workers).Named("pca mean"),
-		func() []float64 { return make([]float64, d) },
-		meanBlockKernel(d),
-		MergeSum)
+	mean, _, err := fit.Reduce(ctx, src, meanPass, struct{}{})
 	if err != nil {
 		return nil, err
 	}
 	blas.Scal(1/float64(n), mean)
-
-	// Pass 2: covariance — per-block symmetric rank-1 accumulation
-	// (blas.Syr on the upper triangle), partial triangles merged in
-	// block order, then mirrored.
-	covst, _, err := exec.ReduceRowBlocks(covScan(x.ScanCtx(ctx, o.Workers), d, 0),
-		func() *CovPartial { return NewCovPartial(d) },
-		covBlockKernel(mean, d),
-		MergeCov)
+	cov, _, err := fit.Reduce(ctx, src, covPass, covArg{Mean: mean})
 	if err != nil {
 		return nil, err
 	}
-	return FinishFromCov(ctx, covst.Part, mean, n, o)
+	return finishFromCov(ctx, cov.Part, mean, n, o)
 }
 
-// meanBlockKernel returns the per-block column-sum accumulation.
-func meanBlockKernel(d int) func(sum []float64, lo, hi int, block []float64, stride int) {
-	return func(sum []float64, lo, hi int, block []float64, stride int) {
-		blas.SumRows(hi-lo, d, block, stride, sum)
-	}
-}
-
-// MergeSum folds a column-sum partial into dst — the mean pass's
-// merge, exported for distributed refolds.
-func MergeSum(dst, src []float64) { blas.Axpy(1, src, dst) }
-
-// MeanGroups computes per-merge-group column-sum partials — the
-// worker half of a distributed mean pass. groupRows must be the
-// coordinator's global group height. Divide the refolded total by the
-// global row count to obtain the mean.
-func MeanGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[[]float64], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("pca mean")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() []float64 { return make([]float64, d) },
-		meanBlockKernel(d),
-		MergeSum)
-}
+// meanPass is the first data pass: blocked column sums (blas.SumRows
+// per block).
+var meanPass = fit.Declare("pca/mean", func(sh *fit.Shard, _ struct{}) (exec.Aggregate[[]float64], error) {
+	d := sh.Cols
+	return exec.Aggregate[[]float64]{
+		Name:  "pca mean",
+		Alloc: func() []float64 { return make([]float64, d) },
+		Block: func(sum []float64, lo, hi int, block []float64, stride int) {
+			blas.SumRows(hi-lo, d, block, stride, sum)
+		},
+		Merge: func(dst, src []float64) { blas.Axpy(1, src, dst) },
+	}, nil
+})
 
 // CovPartial is one merge group's (or block's) share of the centered
 // scatter matrix (upper triangle). The centering buffer is per-state
@@ -183,56 +182,39 @@ type CovPartial struct {
 	centered []float64
 }
 
-// NewCovPartial returns a zero partial for d features.
-func NewCovPartial(d int) *CovPartial {
-	return &CovPartial{Part: make([]float64, d*d), centered: make([]float64, d)}
-}
+// covArg is the pca/cov pass's argument: the global mean.
+type covArg struct{ Mean []float64 }
 
-// MergeCov folds src into dst with the local scan's exact merge.
-func MergeCov(dst, src *CovPartial) { blas.Axpy(1, src.Part, dst.Part) }
-
-// covScan labels and block-sizes a covariance scan: each partial is a
-// d×d matrix, so blocks are sized to hold at least ~d rows and the
-// O(d²) zero+merge amortizes to O(d) per row.
-func covScan(scan exec.RowScan, d, groupRows int) exec.RowScan {
-	scan = scan.Named("pca cov")
-	scan.GroupRows = groupRows
-	if minBytes := d * d * 8; minBytes > exec.DefaultBlockBytes {
-		scan.BlockBytes = minBytes
-	}
-	return scan
-}
-
-// covBlockKernel returns the per-block scatter accumulation at the
-// given mean. The centering buffer lives in the reduce state, not the
-// block closure: fused scans deliver single-row blocks, so a per-call
-// allocation here would be a per-row allocation.
-func covBlockKernel(mean []float64, d int) func(st *CovPartial, lo, hi int, block []float64, stride int) {
-	return func(st *CovPartial, lo, hi int, block []float64, stride int) {
-		for i := lo; i < hi; i++ {
-			row := block[(i-lo)*stride : (i-lo)*stride+d]
+// covPass is the second data pass: symmetric rank-1 accumulation of
+// the scatter at the mean (blas.Syr on the upper triangle). Each state
+// is a d×d matrix, so blocks are sized to hold at least ~d rows and
+// the O(d²) zero+merge amortizes to O(d) per row. The centering buffer
+// lives in the state, not the block closure: fused scans deliver
+// single-row blocks, so a per-call allocation would be per row.
+var covPass = fit.Declare("pca/cov", func(sh *fit.Shard, a covArg) (exec.Aggregate[*CovPartial], error) {
+	d, mean := sh.Cols, a.Mean
+	agg := exec.Aggregate[*CovPartial]{
+		Name: "pca cov",
+		Alloc: func() *CovPartial {
+			return &CovPartial{Part: make([]float64, d*d), centered: make([]float64, d)}
+		},
+		Block: exec.EachRow(d, func(st *CovPartial, _ int, row []float64) {
 			blas.AddScaled(st.centered, row, -1, mean)
 			blas.Syr(d, 1, st.centered, st.Part, d)
-		}
+		}),
+		Merge: func(dst, src *CovPartial) { blas.Axpy(1, src.Part, dst.Part) },
 	}
-}
+	if minBytes := d * d * 8; minBytes > exec.DefaultBlockBytes {
+		agg.BlockBytes = minBytes
+	}
+	return agg, nil
+})
 
-// CovGroups computes per-merge-group scatter partials at the given
-// mean — the worker half of a distributed covariance pass. groupRows
-// must be the coordinator's global group height.
-func CovGroups(ctx context.Context, x *mat.Dense, mean []float64, workers, groupRows int) ([]exec.GroupPartial[*CovPartial], float64, error) {
-	d := x.Cols()
-	return exec.ReduceRowGroups(covScan(x.ScanCtx(ctx, workers), d, groupRows),
-		func() *CovPartial { return NewCovPartial(d) },
-		covBlockKernel(mean, d),
-		MergeCov)
-}
-
-// FinishFromCov normalizes the folded scatter into the covariance and
+// finishFromCov normalizes the folded scatter into the covariance and
 // runs the orthogonal power iteration — everything after the data
-// passes, shared by the local and distributed paths. cov is consumed
-// (normalized in place); opts must already carry defaults.
-func FinishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (*Result, error) {
+// passes. cov is consumed (normalized in place); o must already carry
+// defaults.
+func finishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (*Result, error) {
 	d := len(mean)
 	inv := 1 / float64(n-1)
 	var total float64
@@ -308,10 +290,6 @@ func FinishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (
 	}
 	return res, nil
 }
-
-// ResolveOptions applies the defaults Fit would — exported so the
-// distributed path validates and defaults identically.
-func ResolveOptions(opts Options) (Options, error) { return opts.withDefaults() }
 
 // orthogonalize removes the projections of v onto the first k rows of
 // basis (Gram–Schmidt step).

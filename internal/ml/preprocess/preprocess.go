@@ -37,99 +37,96 @@ type StandardScaler struct {
 
 // Moments is one merge group's (or block's) share of the per-feature
 // running statistics (Welford within the block, Chan-style combine
-// across blocks) — the shardable aggregate of a standard-scaler fit.
-// Fields are exported for gob.
+// across blocks) — the standard-scaler pass's mergeable state. Fields
+// are exported for gob.
 type Moments struct {
 	Count float64
 	Mean  []float64
 	M2    []float64
 }
 
-// NewMoments returns a zero moments state for d features.
-func NewMoments(d int) *Moments {
-	return &Moments{Mean: make([]float64, d), M2: make([]float64, d)}
-}
-
-// Add accumulates one row (Welford update).
-func (m *Moments) Add(row []float64) {
-	m.Count++
-	for j, v := range row {
-		delta := v - m.Mean[j]
-		m.Mean[j] += delta / m.Count
-		m.M2[j] += delta * (v - m.Mean[j])
-	}
-}
-
-// MergeMoments folds src into dst with the parallel-variance combine
-// (Chan, Golub & LeVeque): exact for counts, associative enough that
-// the fixed block-order reduction is deterministic.
-func MergeMoments(dst, src *Moments) {
-	if src.Count == 0 {
-		return
-	}
-	if dst.Count == 0 {
-		dst.Count = src.Count
-		copy(dst.Mean, src.Mean)
-		copy(dst.M2, src.M2)
-		return
-	}
-	n := dst.Count + src.Count
-	for j := range dst.Mean {
-		delta := src.Mean[j] - dst.Mean[j]
-		dst.Mean[j] += delta * src.Count / n
-		dst.M2[j] += src.M2[j] + delta*delta*dst.Count*src.Count/n
-	}
-	dst.Count = n
-}
-
-// MomentGroups computes the per-merge-group moment partials — the
-// worker half of a distributed scaler fit. groupRows must be the
-// coordinator's global group height.
-func MomentGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[*Moments], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("scaler moments")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *Moments { return NewMoments(d) },
-		func(m *Moments, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				m.Add(block[(i-lo)*stride : (i-lo)*stride+d])
+// momentsPass is the standard scaler's single data pass. The merge is
+// the parallel-variance combine (Chan, Golub & LeVeque): exact for
+// counts, and deterministic under the fixed merge order.
+var momentsPass = fit.Declare("moments", func(sh *fit.Shard, _ struct{}) (exec.Aggregate[*Moments], error) {
+	d := sh.Cols
+	return exec.Aggregate[*Moments]{
+		Name:  "scaler moments",
+		Alloc: func() *Moments { return &Moments{Mean: make([]float64, d), M2: make([]float64, d)} },
+		Block: exec.EachRow(d, func(m *Moments, _ int, row []float64) {
+			m.Count++
+			for j, v := range row {
+				delta := v - m.Mean[j]
+				m.Mean[j] += delta / m.Count
+				m.M2[j] += delta * (v - m.Mean[j])
 			}
+		}),
+		Merge: func(dst, src *Moments) {
+			if src.Count == 0 {
+				return
+			}
+			if dst.Count == 0 {
+				dst.Count = src.Count
+				copy(dst.Mean, src.Mean)
+				copy(dst.M2, src.M2)
+				return
+			}
+			n := dst.Count + src.Count
+			for j := range dst.Mean {
+				delta := src.Mean[j] - dst.Mean[j]
+				dst.Mean[j] += delta * src.Count / n
+				dst.M2[j] += src.M2[j] + delta*delta*dst.Count*src.Count/n
+			}
+			dst.Count = n
 		},
-		MergeMoments)
-}
-
-// StandardFromMoments closes a standard-scaler fit over the folded
-// moments — the arithmetic shared by the local and distributed paths.
-func StandardFromMoments(acc *Moments) *StandardScaler {
-	d := len(acc.Mean)
-	std := make([]float64, d)
-	for j := range std {
-		std[j] = math.Sqrt(acc.M2[j] / acc.Count)
-		if std[j] < 1e-12 {
-			std[j] = 1 // constant feature: leave centered at zero
-		}
-	}
-	return &StandardScaler{Mean: acc.Mean, Std: std}
-}
+	}, nil
+})
 
 // FitStandard computes per-feature mean and standard deviation in one
 // blocked scan (per-block Welford, numerically stable for long
 // streams; block partials merge in ascending block order). ctx cancels
 // the scan within one data block.
 func FitStandard(ctx context.Context, x *mat.Dense, opts Options) (*StandardScaler, error) {
-	n, d := x.Dims()
-	if n < 2 {
+	return FitStandardOn(ctx, fit.NewLocal(x, nil, opts.Workers))
+}
+
+// FitStandardOn is FitStandard over any source of rows — the one
+// driver local and distributed fits share.
+func FitStandardOn(ctx context.Context, src fit.Source) (*StandardScaler, error) {
+	if n, _ := src.Dims(); n < 2 {
 		return nil, fmt.Errorf("preprocess: need >= 2 rows, got %d", n)
 	}
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, opts.Workers).Named("scaler moments"),
-		func() *Moments { return NewMoments(d) },
-		func(m *Moments, i int, row []float64) { m.Add(row) },
-		MergeMoments)
+	acc, _, err := fit.Reduce(ctx, src, momentsPass, struct{}{})
 	if err != nil {
 		return nil, err
 	}
-	return StandardFromMoments(acc), nil
+	std := make([]float64, len(acc.Mean))
+	for j := range std {
+		std[j] = math.Sqrt(acc.M2[j] / acc.Count)
+		if std[j] < 1e-12 {
+			std[j] = 1 // constant feature: leave centered at zero
+		}
+	}
+	return &StandardScaler{Mean: acc.Mean, Std: std}, nil
+}
+
+// InCols is the row width the scaler consumes. With OutCols and
+// BlockKernel it makes a fitted scaler a fusable pipeline stage — the
+// kernel a fused scan applies between the block read and the consumer,
+// locally and on a shard worker alike.
+func (s *StandardScaler) InCols() int { return len(s.Mean) }
+
+// OutCols is the row width the scaler produces.
+func (s *StandardScaler) OutCols() int { return len(s.Mean) }
+
+// BlockKernel returns a fresh per-worker standardization kernel: no
+// allocation beyond the caller's destination row.
+func (s *StandardScaler) BlockKernel() exec.RowKernel {
+	return func(dst, src []float64) []float64 {
+		copy(dst, src)
+		s.TransformRow(dst)
+		return dst
+	}
 }
 
 // TransformRow standardizes one row in place.
@@ -167,94 +164,89 @@ type MinMaxScaler struct {
 }
 
 // Extrema is one merge group's (or block's) per-feature minima and
-// maxima — the shardable aggregate of a min-max fit. Fields are
-// exported for gob.
+// maxima — the min-max pass's mergeable state. Fields are exported for
+// gob.
 type Extrema struct {
 	Lo, Hi []float64
 }
 
-// NewExtrema returns an identity extrema state for d features.
-func NewExtrema(d int) *Extrema {
-	e := &Extrema{Lo: make([]float64, d), Hi: make([]float64, d)}
-	for j := 0; j < d; j++ {
-		e.Lo[j] = math.Inf(1)
-		e.Hi[j] = math.Inf(-1)
-	}
-	return e
-}
-
-// Add accumulates one row.
-func (e *Extrema) Add(row []float64) {
-	for j, v := range row {
-		if v < e.Lo[j] {
-			e.Lo[j] = v
-		}
-		if v > e.Hi[j] {
-			e.Hi[j] = v
-		}
-	}
-}
-
-// MergeExtrema folds src into dst (min/max are exactly associative).
-func MergeExtrema(dst, src *Extrema) {
-	for j := range dst.Lo {
-		if src.Lo[j] < dst.Lo[j] {
-			dst.Lo[j] = src.Lo[j]
-		}
-		if src.Hi[j] > dst.Hi[j] {
-			dst.Hi[j] = src.Hi[j]
-		}
-	}
-}
-
-// ExtremaGroups computes the per-merge-group extrema partials — the
-// worker half of a distributed min-max fit. groupRows must be the
-// coordinator's global group height.
-func ExtremaGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[*Extrema], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("minmax extrema")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *Extrema { return NewExtrema(d) },
-		func(e *Extrema, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				e.Add(block[(i-lo)*stride : (i-lo)*stride+d])
+// extremaPass is the min-max scaler's single data pass (min and max
+// are exactly associative, so any merge order gives the same bits).
+var extremaPass = fit.Declare("extrema", func(sh *fit.Shard, _ struct{}) (exec.Aggregate[*Extrema], error) {
+	d := sh.Cols
+	return exec.Aggregate[*Extrema]{
+		Name: "minmax extrema",
+		Alloc: func() *Extrema {
+			e := &Extrema{Lo: make([]float64, d), Hi: make([]float64, d)}
+			for j := 0; j < d; j++ {
+				e.Lo[j] = math.Inf(1)
+				e.Hi[j] = math.Inf(-1)
+			}
+			return e
+		},
+		Block: exec.EachRow(d, func(e *Extrema, _ int, row []float64) {
+			for j, v := range row {
+				if v < e.Lo[j] {
+					e.Lo[j] = v
+				}
+				if v > e.Hi[j] {
+					e.Hi[j] = v
+				}
+			}
+		}),
+		Merge: func(dst, src *Extrema) {
+			for j := range dst.Lo {
+				if src.Lo[j] < dst.Lo[j] {
+					dst.Lo[j] = src.Lo[j]
+				}
+				if src.Hi[j] > dst.Hi[j] {
+					dst.Hi[j] = src.Hi[j]
+				}
 			}
 		},
-		MergeExtrema)
+	}, nil
+})
+
+// FitMinMax computes per-feature minima and ranges in one blocked
+// scan. ctx cancels the scan within one data block.
+func FitMinMax(ctx context.Context, x *mat.Dense, opts Options) (*MinMaxScaler, error) {
+	return FitMinMaxOn(ctx, fit.NewLocal(x, nil, opts.Workers))
 }
 
-// MinMaxFromExtrema closes a min-max fit over the folded extrema —
-// the arithmetic shared by the local and distributed paths.
-func MinMaxFromExtrema(acc *Extrema) *MinMaxScaler {
-	d := len(acc.Lo)
-	rng := make([]float64, d)
+// FitMinMaxOn is FitMinMax over any source of rows — the one driver
+// local and distributed fits share.
+func FitMinMaxOn(ctx context.Context, src fit.Source) (*MinMaxScaler, error) {
+	if n, _ := src.Dims(); n < 1 {
+		return nil, fmt.Errorf("preprocess: empty matrix")
+	}
+	acc, _, err := fit.Reduce(ctx, src, extremaPass, struct{}{})
+	if err != nil {
+		return nil, err
+	}
+	rng := make([]float64, len(acc.Lo))
 	for j := range rng {
 		rng[j] = acc.Hi[j] - acc.Lo[j]
 		if rng[j] < 1e-12 {
 			rng[j] = 1
 		}
 	}
-	return &MinMaxScaler{Min: acc.Lo, Range: rng}
+	return &MinMaxScaler{Min: acc.Lo, Range: rng}, nil
 }
 
-// FitMinMax computes per-feature minima and ranges in one blocked scan
-// (per-block extrema merge elementwise in block order — min and max
-// are exactly associative, so the result equals the sequential scan
-// bit for bit). ctx cancels the scan within one data block.
-func FitMinMax(ctx context.Context, x *mat.Dense, opts Options) (*MinMaxScaler, error) {
-	n, d := x.Dims()
-	if n < 1 {
-		return nil, fmt.Errorf("preprocess: empty matrix")
+// InCols is the row width the scaler consumes.
+func (s *MinMaxScaler) InCols() int { return len(s.Min) }
+
+// OutCols is the row width the scaler produces.
+func (s *MinMaxScaler) OutCols() int { return len(s.Min) }
+
+// BlockKernel returns a fresh per-worker rescaling kernel: no
+// allocation beyond the caller's destination row.
+func (s *MinMaxScaler) BlockKernel() exec.RowKernel {
+	return func(dst, src []float64) []float64 {
+		copy(dst, src)
+		s.TransformRow(dst)
+		return dst
 	}
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, opts.Workers).Named("minmax extrema"),
-		func() *Extrema { return NewExtrema(d) },
-		func(e *Extrema, i int, row []float64) { e.Add(row) },
-		MergeExtrema)
-	if err != nil {
-		return nil, err
-	}
-	return MinMaxFromExtrema(acc), nil
 }
 
 // TransformRow rescales one row in place.
@@ -270,27 +262,11 @@ func (s *MinMaxScaler) TransformRow(row []float64) {
 // BinaryLabels converts multiclass labels to a 0/1 vector marking the
 // positive class — the "digit d vs rest" tasks of the experiments.
 func BinaryLabels(labels []float64, positive float64) []float64 {
-	out := make([]float64, len(labels))
-	for i, v := range labels {
-		//m3vet:allow floateq -- class labels are exact ids, never computed
-		if v == positive {
-			out[i] = 1
-		}
-	}
-	return out
+	return fit.BinaryLabels(labels, positive)
 }
 
 // IntLabels converts float labels to ints, validating they are whole
 // numbers within [0, classes).
 func IntLabels(labels []float64, classes int) ([]int, error) {
-	out := make([]int, len(labels))
-	for i, v := range labels {
-		n := int(v)
-		//m3vet:allow floateq -- integrality check: exact comparison is the test
-		if float64(n) != v || n < 0 || n >= classes {
-			return nil, fmt.Errorf("preprocess: label[%d] = %v not an integer in [0,%d)", i, v, classes)
-		}
-		out[i] = n
-	}
-	return out, nil
+	return fit.IntLabels(labels, classes)
 }

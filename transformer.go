@@ -94,7 +94,9 @@ func (e StandardScaler) FitTransform(ctx context.Context, ds *Dataset) (Transfor
 }
 
 // FittedStandardScaler is a fitted standardization; the embedded
-// preprocess.StandardScaler exposes the per-feature Mean and Std.
+// preprocess.StandardScaler exposes the per-feature Mean and Std and
+// supplies the BlockTransformer kernel (InCols, OutCols, BlockKernel) —
+// the one a shard worker fuses too.
 type FittedStandardScaler struct {
 	*preprocess.StandardScaler
 	workers int
@@ -115,22 +117,6 @@ func (f *FittedStandardScaler) TransformRow(row []float64) []float64 {
 	out := append([]float64(nil), row...)
 	f.StandardScaler.TransformRow(out)
 	return out
-}
-
-// InCols implements BlockTransformer.
-func (f *FittedStandardScaler) InCols() int { return f.NumFeatures() }
-
-// OutCols implements BlockTransformer.
-func (f *FittedStandardScaler) OutCols() int { return f.NumFeatures() }
-
-// BlockKernel implements BlockTransformer: per-worker standardization
-// with no allocation beyond the caller's destination row.
-func (f *FittedStandardScaler) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		f.StandardScaler.TransformRow(dst)
-		return dst
-	}
 }
 
 // Predict returns the first standardized coordinate (the scalar
@@ -172,7 +158,8 @@ func (e MinMaxScaler) FitTransform(ctx context.Context, ds *Dataset) (Transforme
 }
 
 // FittedMinMaxScaler is a fitted range scaling; the embedded
-// preprocess.MinMaxScaler exposes the per-feature Min and Range.
+// preprocess.MinMaxScaler exposes the per-feature Min and Range and
+// supplies the BlockTransformer kernel.
 type FittedMinMaxScaler struct {
 	*preprocess.MinMaxScaler
 	workers int
@@ -193,22 +180,6 @@ func (f *FittedMinMaxScaler) TransformRow(row []float64) []float64 {
 	out := append([]float64(nil), row...)
 	f.MinMaxScaler.TransformRow(out)
 	return out
-}
-
-// InCols implements BlockTransformer.
-func (f *FittedMinMaxScaler) InCols() int { return f.NumFeatures() }
-
-// OutCols implements BlockTransformer.
-func (f *FittedMinMaxScaler) OutCols() int { return f.NumFeatures() }
-
-// BlockKernel implements BlockTransformer: per-worker rescaling with
-// no allocation beyond the caller's destination row.
-func (f *FittedMinMaxScaler) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		f.MinMaxScaler.TransformRow(dst)
-		return dst
-	}
 }
 
 // Predict returns the first rescaled coordinate.
@@ -257,20 +228,4 @@ func (f *FittedPCA) TransformRow(row []float64) []float64 {
 	out := make([]float64, f.Components.Rows())
 	f.PCAResult.Transform(row, out)
 	return out
-}
-
-// InCols implements BlockTransformer (the source width D).
-func (f *FittedPCA) InCols() int { return f.Components.Cols() }
-
-// OutCols implements BlockTransformer (the component count K).
-func (f *FittedPCA) OutCols() int { return f.Components.Rows() }
-
-// BlockKernel implements BlockTransformer: per-worker projection with
-// one private centering buffer — no per-row allocation.
-func (f *FittedPCA) BlockKernel() core.RowKernel {
-	centered := make([]float64, f.Components.Cols())
-	return func(dst, src []float64) []float64 {
-		f.PCAResult.TransformInto(src, dst, centered)
-		return dst
-	}
 }
