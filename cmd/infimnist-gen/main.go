@@ -43,5 +43,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "infimnist-gen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
+	took := time.Since(start)
+	fmt.Printf("done in %v (%.0f MB/s)\n", took.Round(time.Millisecond),
+		float64(n*infimnist.BytesPerImage)/1e6/took.Seconds())
 }

@@ -71,14 +71,14 @@ func ImportCSV(csvPath, outPath string, labelLast bool) error {
 			break
 		}
 		if err != nil {
-			w.f.Close()
+			w.Abort()
 			return err
 		}
 		var label float64
 		for j, field := range rec {
 			v, err := strconv.ParseFloat(field, 64)
 			if err != nil {
-				w.f.Close()
+				w.Abort()
 				return fmt.Errorf("dataset: csv %q: bad number %q: %w", csvPath, field, err)
 			}
 			if labelLast && j == cols-1 {
@@ -88,7 +88,7 @@ func ImportCSV(csvPath, outPath string, labelLast bool) error {
 			}
 		}
 		if err := w.WriteRow(rowBuf, label); err != nil {
-			w.f.Close()
+			w.Abort()
 			return err
 		}
 	}

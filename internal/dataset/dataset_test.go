@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -385,5 +387,283 @@ func TestMappedDatasetSupportsParallelLayer(t *testing.T) {
 	}
 	if got := ds.RawX()[1]; got != 1 {
 		t.Errorf("dataset unmapped by view close: %v", got)
+	}
+}
+
+// lyingHeader writes a file of one header page plus extra payload
+// bytes whose header claims rows × cols.
+func lyingHeader(t testing.TB, rows, cols int64, labels bool, extra int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "liar.m3")
+	b := append(Header{Rows: rows, Cols: cols, HasLabels: labels}.marshal(), make([]byte, extra)...)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReadAllLyingHeaderIsCheap: a 4 KiB file whose header claims
+// 16 GiB is refused by its size, before anything is allocated for it —
+// it used to end the process with "fatal error: out of memory".
+func TestReadAllLyingHeaderIsCheap(t *testing.T) {
+	for _, shape := range []struct {
+		rows, cols int64
+		labels     bool
+	}{
+		{1 << 31, 1, false},
+		{1 << 31, 1, true},
+		{1, 1 << 31, false},
+		{3, 5, true}, // merely short: 8 bytes of the 144
+		// X alone fits in an int64, X plus the label block does not.
+		{math.MaxInt64/8 - 600, 1, true},
+	} {
+		path := lyingHeader(t, shape.rows, shape.cols, shape.labels, 8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := ReadAll(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%+v: read a %d-byte file as %d×%d", shape, HeaderSize+8, shape.rows, shape.cols)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%+v: refusing the file allocated %d bytes, want < 1 MiB", shape, grew)
+		}
+		if _, err := Open(path); err == nil {
+			t.Errorf("%+v: Open mapped the file", shape)
+		}
+	}
+}
+
+// TestVerifyLabelsAndPayload: Verify passes on a written file and
+// notices one flipped bit anywhere behind the header — first and last
+// payload byte, first and last label byte.
+func TestVerifyLabelsAndPayload(t *testing.T) {
+	const rows, cols = 37, 11
+	data, labels := make([]float64, rows*cols), make([]float64, rows)
+	for i := range data {
+		data[i] = math.Sqrt(float64(i))
+	}
+	for i := range labels {
+		labels[i] = float64(i % 3)
+	}
+	hdr := Header{Rows: rows, Cols: cols, HasLabels: true}
+	for _, off := range []int64{-1, HeaderSize, HeaderSize + hdr.DataBytes() - 1, HeaderSize + hdr.DataBytes(), hdr.FileSize() - 1} {
+		path := tmpPath(t, "v.m3")
+		if err := WriteMatrix(path, data, rows, cols, labels); err != nil {
+			t.Fatal(err)
+		}
+		if off >= 0 {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[off] ^= 0x10
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.Verify()
+		d.Close()
+		if off < 0 && err != nil {
+			t.Errorf("Verify of an intact file: %v", err)
+		}
+		if off >= 0 && err == nil {
+			t.Errorf("Verify missed a flipped bit at offset %d", off)
+		}
+	}
+}
+
+// TestWriteRowsIsWriteRowByRow: blocks of any size, single rows and
+// WriteMatrix all produce the same bytes, checksum included.
+func TestWriteRowsIsWriteRowByRow(t *testing.T) {
+	const rows, cols = 23, 7
+	data, labels := make([]float64, rows*cols), make([]float64, rows)
+	for i := range data {
+		data[i] = math.Sin(float64(i))
+	}
+	for i := range labels {
+		labels[i] = float64(i)
+	}
+	for _, hasLabels := range []bool{true, false} {
+		want := tmpPath(t, "want.m3")
+		var l []float64
+		if hasLabels {
+			l = labels
+		}
+		if err := WriteMatrix(want, data, rows, cols, l); err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []int{1, 2, 5, rows} {
+			path := tmpPath(t, "got.m3")
+			w, err := Create(path, rows, cols, hasLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < rows; lo += step {
+				hi := min(lo+step, rows)
+				if step == 1 {
+					err = w.WriteRow(data[lo*cols:hi*cols], labels[lo])
+				} else {
+					err = w.WriteRows(data[lo*cols:hi*cols], labels[lo:hi])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantBytes) {
+				t.Errorf("labels=%v, %d rows a block: file differs from WriteMatrix's", hasLabels, step)
+			}
+		}
+	}
+}
+
+// TestPortableCodecMatchesView: the value-by-value encoding that
+// big-endian hosts use is the byte view little-endian hosts use.
+func TestPortableCodecMatchesView(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the view is not the file encoding on this host")
+	}
+	fs := []float64{0, 1, -1, math.Pi, math.Inf(-1), math.SmallestNonzeroFloat64, math.Float64frombits(0x0102030405060708)}
+	view := floatBytes(fs)
+	if portable := appendFloats(nil, fs); !bytes.Equal(view, portable) {
+		t.Errorf("view %x, portable encoding %x", view, portable)
+	}
+	a, b := make([]float64, len(fs)), make([]float64, len(fs))
+	if err := readFloats(bytes.NewReader(view), a); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeFloats(bytes.NewReader(view), b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range fs {
+		if math.Float64bits(a[i]) != math.Float64bits(fs[i]) || math.Float64bits(b[i]) != math.Float64bits(fs[i]) {
+			t.Errorf("value %d: read %v, decoded %v, want %v", i, a[i], b[i], fs[i])
+		}
+	}
+	if err := decodeFloats(bytes.NewReader(view[:len(view)-1]), b); err == nil {
+		t.Error("decoded a short stream")
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// TestFailedWriteRemovesFile: a producer that fails after Create
+// leaves no partial file — which would carry a zero checksum and
+// verify trivially — and one that fails before Create touches nothing.
+func TestFailedWriteRemovesFile(t *testing.T) {
+	// A block that is not whole rows is refused and writes nothing.
+	path := tmpPath(t, "p.m3")
+	w, err := Create(path, 4, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRows(make([]float64, 6), []float64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]struct{ block, labels []float64 }{
+		"a wrong-width row in the middle of the block": {make([]float64, 5), []float64{0, 1}},
+		"a label short":           {make([]float64, 6), []float64{0}},
+		"more rows than declared": {make([]float64, 9), []float64{0, 1, 2}},
+		"an empty block":          {nil, nil},
+	} {
+		if err := w.WriteRows(bad.block, bad.labels); err == nil {
+			t.Errorf("WriteRows accepted %s", name)
+		}
+	}
+	if err := w.WriteRow(make([]float64, 6), 0); err == nil {
+		t.Error("WriteRow accepted two rows")
+	}
+	// Close one row short of the declared count: error, and no file.
+	if err := w.WriteRows(make([]float64, 3), []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Error("Close accepted 3 of 4 declared rows")
+	}
+	if exists(path) {
+		t.Error("a failed Close left the partial file")
+	}
+	if err := w.Abort(); err != nil {
+		t.Errorf("Abort after a failed Close: %v", err)
+	}
+
+	// Abort on its own; then both Close and Abort are no-ops.
+	if w, err = Create(path, 2, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if exists(path) {
+		t.Error("Abort left the file")
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("Close after Abort: %v", err)
+	}
+
+	// WriteMatrix refusing its arguments has created nothing: a file
+	// already at the path is not its to remove.
+	if err := os.WriteFile(path, []byte("mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMatrix(path, make([]float64, 5), 2, 3, nil); err == nil {
+		t.Error("WriteMatrix accepted 5 values for 2×3")
+	}
+	if err := WriteMatrix(path, make([]float64, 6), 2, 3, make([]float64, 3)); err == nil {
+		t.Error("WriteMatrix accepted 3 labels for 2 rows")
+	}
+	if b, _ := os.ReadFile(path); string(b) != "mine" {
+		t.Errorf("a refused WriteMatrix touched the existing file: %q", b)
+	}
+
+	// The importers follow the same rule (ImportLibSVM parses every line
+	// before it creates anything).
+	csv := tmpPath(t, "bad.csv")
+	if err := os.WriteFile(csv, []byte("1,2,0\n3,x,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := tmpPath(t, "bad.m3")
+	if err := ImportCSV(csv, out, true); err == nil {
+		t.Error("imported a csv with a bad number")
+	}
+	if exists(out) {
+		t.Error("a failed ImportCSV left a partial dataset")
+	}
+}
+
+var sinkFloats []float64
+
+func BenchmarkReadAll(b *testing.B) {
+	const rows, cols = 2048, 784
+	path := filepath.Join(b.TempDir(), "bench.m3")
+	if err := WriteMatrix(path, make([]float64, rows*cols), rows, cols, make([]float64, rows)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(Header{Rows: rows, Cols: cols, HasLabels: true}.FileSize())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, _, _, err := ReadAll(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkFloats = x
 	}
 }

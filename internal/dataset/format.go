@@ -24,7 +24,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math"
+	"unsafe"
 )
 
 // Magic identifies an M3 dataset file.
@@ -70,7 +72,10 @@ func (h Header) Validate() error {
 	if h.Rows <= 0 || h.Cols <= 0 {
 		return fmt.Errorf("dataset: non-positive dimensions %dx%d", h.Rows, h.Cols)
 	}
-	if h.Rows > math.MaxInt64/8/h.Cols {
+	// The whole file — header page, X and a label per row — must be
+	// addressable: HeaderSize + 8·Rows·(Cols+1) <= MaxInt64.
+	const maxValues = (math.MaxInt64 - HeaderSize) / 8
+	if h.Cols >= maxValues || h.Rows > maxValues/(h.Cols+1) {
 		return fmt.Errorf("dataset: %dx%d overflows", h.Rows, h.Cols)
 	}
 	return nil
@@ -114,4 +119,49 @@ func parseHeader(b []byte) (Header, error) {
 		return Header{}, err
 	}
 	return h, nil
+}
+
+// hostLittleEndian reports whether a float64 in memory already has the
+// file's byte order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views fs as its bytes in memory, the way
+// mmap.Region.Float64 views a mapping's bytes as floats.
+func floatBytes(fs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs)*8)
+}
+
+// appendFloats appends the little-endian encoding of fs to b.
+func appendFloats(b []byte, fs []float64) []byte {
+	for _, v := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// readFloats fills dst from r's little-endian stream: straight into
+// dst's memory on a little-endian host, through decodeFloats otherwise.
+func readFloats(r io.Reader, dst []float64) error {
+	if hostLittleEndian {
+		_, err := io.ReadFull(r, floatBytes(dst))
+		return err
+	}
+	return decodeFloats(r, dst)
+}
+
+// decodeFloats is readFloats for any host: it decodes value by value
+// through a bounce buffer.
+func decodeFloats(r io.Reader, dst []float64) error {
+	buf := make([]byte, 1<<16)
+	for len(dst) > 0 {
+		n := min(len(buf)/8, len(dst))
+		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		}
+		dst = dst[n:]
+	}
+	return nil
 }

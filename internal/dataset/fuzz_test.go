@@ -56,13 +56,18 @@ func FuzzParseLibSVMLine(f *testing.F) {
 	})
 }
 
-// FuzzOpen ensures arbitrary file contents never panic Open.
-func FuzzOpen(f *testing.F) {
+// fileCorpus seeds the fuzzers that take a whole file.
+func fileCorpus(f *testing.F) {
 	good := Header{Rows: 2, Cols: 2}.marshal()
 	good = append(good, make([]byte, 32)...)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1}, HeaderSize+7))
+}
+
+// FuzzOpen ensures arbitrary file contents never panic Open.
+func FuzzOpen(f *testing.F) {
+	fileCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f.m3")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -77,5 +82,31 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("payload view %d for %dx%d", len(d.RawX()), d.Rows, d.Cols)
 		}
 		d.Close()
+	})
+}
+
+// FuzzReadAll ensures arbitrary file contents never panic ReadAll nor
+// make it allocate beyond the file: what it returns is what the file
+// holds.
+func FuzzReadAll(f *testing.F) {
+	fileCorpus(f)
+	labelled := Header{Rows: 3, Cols: 2, HasLabels: true}.marshal()
+	f.Add(append(labelled, make([]byte, 9*8)...))
+	f.Add(append(Header{Rows: 1 << 31, Cols: 1}.marshal(), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.m3")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		x, labels, hdr, err := ReadAll(path)
+		if err != nil {
+			return
+		}
+		if int64(len(x)) != hdr.Rows*hdr.Cols || hdr.FileSize() > int64(len(data)) {
+			t.Fatalf("read %d values as %dx%d from %d bytes", len(x), hdr.Rows, hdr.Cols, len(data))
+		}
+		if hdr.HasLabels != (labels != nil) || (hdr.HasLabels && int64(len(labels)) != hdr.Rows) {
+			t.Fatalf("%d labels for %+v", len(labels), hdr)
+		}
 	})
 }

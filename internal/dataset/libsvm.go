@@ -40,7 +40,7 @@ func ImportLibSVM(svmPath, outPath string) error {
 		}
 		label, feats, err := parseLibSVMLine(line)
 		if err != nil {
-			w.f.Close()
+			w.Abort()
 			return fmt.Errorf("dataset: %s:%d: %w", svmPath, lineNo, err)
 		}
 		for i := range rowBuf {
@@ -50,12 +50,12 @@ func ImportLibSVM(svmPath, outPath string) error {
 			rowBuf[fv.idx-1] = fv.val
 		}
 		if err := w.WriteRow(rowBuf, label); err != nil {
-			w.f.Close()
+			w.Abort()
 			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		w.f.Close()
+		w.Abort()
 		return err
 	}
 	return w.Close()

@@ -1,12 +1,9 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math"
 	"os"
 
 	"m3/internal/mat"
@@ -25,28 +22,44 @@ type Dataset struct {
 	path   string
 }
 
+// openChecked opens a dataset file, positioned at its payload, whose
+// header the file is long enough to honour — nothing may be sized from
+// a header before that is known.
+func openChecked(path string) (_ *os.File, _ Header, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, Header{}, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	hdrPage := make([]byte, HeaderSize)
+	if _, err := io.ReadFull(f, hdrPage); err != nil {
+		return nil, Header{}, fmt.Errorf("dataset: reading header of %q: %w", path, err)
+	}
+	hdr, err := parseHeader(hdrPage)
+	if err != nil {
+		return nil, Header{}, fmt.Errorf("dataset: %q: %w", path, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, Header{}, err
+	}
+	if fi.Size() < hdr.FileSize() {
+		return nil, Header{}, fmt.Errorf("dataset: %q truncated: %d bytes, header implies %d", path, fi.Size(), hdr.FileSize())
+	}
+	return f, hdr, nil
+}
+
 // Open memory-maps a dataset file read-only.
 func Open(path string) (*Dataset, error) {
-	f, err := os.Open(path)
+	f, hdr, err := openChecked(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	hdrPage := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(f, hdrPage); err != nil {
-		return nil, fmt.Errorf("dataset: reading header of %q: %w", path, err)
-	}
-	hdr, err := parseHeader(hdrPage)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %q: %w", path, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() < hdr.FileSize() {
-		return nil, fmt.Errorf("dataset: %q truncated: %d bytes, header implies %d", path, fi.Size(), hdr.FileSize())
-	}
 	region, err := mmap.Map(f, 0, int(hdr.FileSize()), false)
 	if err != nil {
 		return nil, err
@@ -108,49 +121,22 @@ func (d *Dataset) Close() error {
 // ReadAll loads an entire dataset into heap memory — the "Original"
 // path of Table 1, feasible only when the data fits in RAM.
 func ReadAll(path string) (x []float64, labels []float64, hdr Header, err error) {
-	f, err := os.Open(path)
+	f, hdr, err := openChecked(path)
 	if err != nil {
 		return nil, nil, Header{}, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	hdrPage := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(br, hdrPage); err != nil {
-		return nil, nil, Header{}, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	hdr, err = parseHeader(hdrPage)
-	if err != nil {
-		return nil, nil, Header{}, err
-	}
 	x = make([]float64, hdr.Rows*hdr.Cols)
-	if err := readFloats(br, x); err != nil {
-		return nil, nil, Header{}, fmt.Errorf("dataset: reading payload: %w", err)
+	if err := readFloats(f, x); err != nil {
+		return nil, nil, Header{}, fmt.Errorf("dataset: reading payload of %q: %w", path, err)
 	}
 	if hdr.HasLabels {
 		labels = make([]float64, hdr.Rows)
-		if err := readFloats(br, labels); err != nil {
-			return nil, nil, Header{}, fmt.Errorf("dataset: reading labels: %w", err)
+		if err := readFloats(f, labels); err != nil {
+			return nil, nil, Header{}, fmt.Errorf("dataset: reading labels of %q: %w", path, err)
 		}
 	}
 	return x, labels, hdr, nil
-}
-
-func readFloats(r io.Reader, dst []float64) error {
-	buf := make([]byte, 1<<16)
-	for len(dst) > 0 {
-		n := len(buf) / 8
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		dst = dst[n:]
-	}
-	return nil
 }
 
 // Verify recomputes the payload checksum of an open dataset and
@@ -160,22 +146,10 @@ func (d *Dataset) Verify() error {
 	if d.Checksum == 0 {
 		return nil
 	}
-	crc := crcFloats(0, d.x)
-	if d.HasLabels {
-		crc = crcFloats(crc, d.labels)
-	}
+	// X and the labels are contiguous in the file, as in the checksum.
+	crc := crc64.Update(0, crcTable, d.region.Bytes()[HeaderSize:d.FileSize()])
 	if crc != d.Checksum {
 		return fmt.Errorf("dataset: checksum mismatch: file records %#x, payload hashes to %#x", d.Checksum, crc)
 	}
 	return nil
-}
-
-func crcFloats(seed uint64, fs []float64) uint64 {
-	buf := make([]byte, 8)
-	crc := seed
-	for _, v := range fs {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		crc = crc64.Update(crc, crcTable, buf)
-	}
-	return crc
 }

@@ -2,30 +2,32 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
-	"math"
 	"os"
 )
 
-// Writer streams a dataset to disk row by row, so arbitrarily large
-// files can be produced with constant memory — the tool that builds
-// the paper's 190 GB Infimnist file works this way.
+// Writer streams a dataset to disk in blocks of rows, so arbitrarily
+// large files can be produced with constant memory — the tool that
+// builds the paper's 190 GB Infimnist file works this way.
 type Writer struct {
-	f       *os.File
+	f *os.File
+	// buf coalesces the importers' single-row writes; a block larger
+	// than it passes through to the file uncopied.
 	buf     *bufio.Writer
+	path    string
 	hdr     Header
 	crc     uint64
 	written int64 // rows written
 	labels  []float64
-	scratch []byte
+	scratch []byte // encoding buffer of big-endian hosts
 	closed  bool
 }
 
 // Create starts a new dataset file with the given shape. If hasLabels
-// is true, each WriteRow must supply a label and the label block is
-// appended after the matrix payload at Close.
+// is true, every written row must come with a label and the label
+// block is appended after the matrix payload at Close.
 func Create(path string, rows, cols int64, hasLabels bool) (*Writer, error) {
 	hdr := Header{Rows: rows, Cols: cols, HasLabels: hasLabels}
 	if err := hdr.Validate(); err != nil {
@@ -35,20 +37,14 @@ func Create(path string, rows, cols int64, hasLabels bool) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{
-		f:       f,
-		buf:     bufio.NewWriterSize(f, 1<<20),
-		hdr:     hdr,
-		scratch: make([]byte, cols*8),
-	}
+	w := &Writer{f: f, buf: bufio.NewWriterSize(f, 64<<10), path: path, hdr: hdr}
 	if hasLabels {
 		w.labels = make([]float64, 0, rows)
 	}
 	// Reserve the header page; the final header (with checksum) is
 	// rewritten at Close.
-	if _, err := w.buf.Write(hdr.marshal()); err != nil {
-		f.Close()
-		return nil, err
+	if _, err := f.Write(hdr.marshal()); err != nil {
+		return nil, errors.Join(err, w.Abort())
 	}
 	return w, nil
 }
@@ -56,62 +52,92 @@ func Create(path string, rows, cols int64, hasLabels bool) (*Writer, error) {
 // WriteRow appends one feature row (and its label when the dataset
 // has labels; pass 0 otherwise — it is ignored).
 func (w *Writer) WriteRow(row []float64, label float64) error {
-	if w.closed {
-		return fmt.Errorf("dataset: writer closed")
-	}
 	if int64(len(row)) != w.hdr.Cols {
 		return fmt.Errorf("dataset: row of %d values, want %d", len(row), w.hdr.Cols)
 	}
-	if w.written >= w.hdr.Rows {
+	return w.WriteRows(row, []float64{label})
+}
+
+// WriteRows appends a block of whole rows, row-major, encoded,
+// checksummed and written as one piece. labels holds one label per row
+// when the dataset has labels and is ignored otherwise. A rejected
+// block writes nothing.
+func (w *Writer) WriteRows(block, labels []float64) error {
+	if w.closed {
+		return fmt.Errorf("dataset: writer closed")
+	}
+	n := int64(len(block)) / w.hdr.Cols
+	if len(block) == 0 || n*w.hdr.Cols != int64(len(block)) {
+		return fmt.Errorf("dataset: block of %d values is not whole rows of %d", len(block), w.hdr.Cols)
+	}
+	if n > w.hdr.Rows-w.written {
 		return fmt.Errorf("dataset: too many rows (declared %d)", w.hdr.Rows)
 	}
-	for i, v := range row {
-		binary.LittleEndian.PutUint64(w.scratch[i*8:], math.Float64bits(v))
+	if w.hdr.HasLabels && int64(len(labels)) != n {
+		return fmt.Errorf("dataset: %d labels for %d rows", len(labels), n)
 	}
-	if _, err := w.buf.Write(w.scratch); err != nil {
+	if err := w.write(block); err != nil {
 		return err
 	}
-	w.crc = crc64.Update(w.crc, crcTable, w.scratch)
 	if w.hdr.HasLabels {
-		w.labels = append(w.labels, label)
+		w.labels = append(w.labels, labels...)
 	}
-	w.written++
+	w.written += n
 	return nil
+}
+
+// write appends the encoding of fs to the payload and the checksum: on
+// a little-endian host that is fs's own memory.
+func (w *Writer) write(fs []float64) error {
+	b := floatBytes(fs)
+	if !hostLittleEndian {
+		w.scratch = appendFloats(w.scratch[:0], fs)
+		b = w.scratch
+	}
+	w.crc = crc64.Update(w.crc, crcTable, b)
+	_, err := w.buf.Write(b)
+	return err
 }
 
 // Close flushes the payload, appends labels, rewrites the header with
 // the payload checksum, and closes the file. It fails if fewer rows
-// than declared were written.
+// than declared were written; a failed Close removes the file.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
+	if err := w.finish(); err != nil {
+		return errors.Join(err, w.Abort())
+	}
 	w.closed = true
+	return w.f.Close()
+}
+
+func (w *Writer) finish() error {
 	if w.written != w.hdr.Rows {
-		w.f.Close()
 		return fmt.Errorf("dataset: wrote %d of %d declared rows", w.written, w.hdr.Rows)
 	}
-	if w.hdr.HasLabels {
-		lb := make([]byte, 8)
-		for _, v := range w.labels {
-			binary.LittleEndian.PutUint64(lb, math.Float64bits(v))
-			if _, err := w.buf.Write(lb); err != nil {
-				w.f.Close()
-				return err
-			}
-			w.crc = crc64.Update(w.crc, crcTable, lb)
-		}
+	if err := w.write(w.labels); err != nil {
+		return err
 	}
 	if err := w.buf.Flush(); err != nil {
-		w.f.Close()
 		return err
 	}
 	w.hdr.Checksum = w.crc
-	if _, err := w.f.WriteAt(w.hdr.marshal(), 0); err != nil {
-		w.f.Close()
-		return err
+	_, err := w.f.WriteAt(w.hdr.marshal(), 0)
+	return err
+}
+
+// Abort gives up on the file: it closes the descriptor and removes
+// what was written, so a failed producer never leaves a partial
+// dataset (whose zero checksum would verify trivially) behind. It is a
+// no-op on a closed writer.
+func (w *Writer) Abort() error {
+	if w.closed {
+		return nil
 	}
-	return w.f.Close()
+	w.closed = true
+	return errors.Join(w.f.Close(), os.Remove(w.path))
 }
 
 // WriteMatrix writes an in-memory row-major matrix (and optional
@@ -128,15 +154,8 @@ func WriteMatrix(path string, data []float64, rows, cols int64, labels []float64
 	if err != nil {
 		return err
 	}
-	for i := int64(0); i < rows; i++ {
-		var label float64
-		if hasLabels {
-			label = labels[i]
-		}
-		if err := w.WriteRow(data[i*cols:(i+1)*cols], label); err != nil {
-			w.f.Close()
-			return err
-		}
+	if err := w.WriteRows(data, labels); err != nil {
+		return errors.Join(err, w.Abort())
 	}
 	return w.Close()
 }

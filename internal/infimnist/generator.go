@@ -1,10 +1,14 @@
 package infimnist
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"m3/internal/dataset"
+	"m3/internal/exec"
 )
 
 // splitmix64 advances a 64-bit state and returns a well-mixed value;
@@ -83,6 +87,7 @@ func (g Generator) Fill(dst []float64, index int64) int {
 	}
 	gg := g.withDefaults()
 	label := gg.Label(index)
+	digit := &digits()[label]
 
 	r := rng{s: gg.Seed ^ (uint64(index)+1)*0xd1342543de82ef95}
 	dx := r.symmetric(gg.MaxShift) / Side
@@ -94,15 +99,21 @@ func (g Generator) Fill(dst []float64, index int64) int {
 	// Inverse affine map: for each output pixel, sample the prototype
 	// at the pre-image of the deformation (rotate+scale about the
 	// image center, then translate).
+	// A pixel's x does not depend on its row nor its y on its column:
+	// each is computed once, by the expression every pixel used to
+	// evaluate.
+	var xs [Side]float64
+	for px := range xs {
+		xs[px] = (float64(px)+0.5)/Side - 0.5 - dx
+	}
 	for py := 0; py < Side; py++ {
-		for px := 0; px < Side; px++ {
-			x := (float64(px)+0.5)/Side - 0.5 - dx
-			y := (float64(py)+0.5)/Side - 0.5 - dy
+		y := (float64(py)+0.5)/Side - 0.5 - dy
+		for px, x := range xs {
 			sx := (cos*x+sin*y)/scale + 0.5
 			sy := (-sin*x+cos*y)/scale + 0.5
 			v := 0.0
 			if sx >= 0 && sx < 1 && sy >= 0 && sy < 1 {
-				v = intensityAt(label, sx, sy)
+				v = digit.intensityAt(sx, sy)
 			}
 			if gg.Noise > 0 {
 				v += r.symmetric(gg.Noise)
@@ -125,32 +136,95 @@ func (g Generator) Image(index int64) ([]float64, int) {
 	return dst, label
 }
 
+// blockRows is how many images a worker renders at a time: 64 rows are
+// 392 KiB, large enough that handing a block over costs nothing beside
+// rendering it.
+const blockRows = 64
+
+// renderBlocks cuts n images into blocks of blockRows.
+func renderBlocks(n int64) []exec.Block {
+	blocks := make([]exec.Block, 0, (n+blockRows-1)/blockRows)
+	for lo := 0; lo < int(n); lo += blockRows {
+		blocks = append(blocks, exec.Block{Lo: lo, Hi: min(lo+blockRows, int(n))})
+	}
+	return blocks
+}
+
+// fillRows renders images first, first+1, … into the rows of x, one
+// per label.
+func (g Generator) fillRows(x, labels []float64, first int64) {
+	for r := range labels {
+		labels[r] = float64(g.Fill(x[r*Features:(r+1)*Features], first+int64(r)))
+	}
+}
+
 // Matrix renders images [first, first+n) into a fresh row-major
 // matrix with one image per row, returning the labels alongside.
+// Blocks of rows are rendered in parallel; image i is a function of
+// (Seed, i) alone, so the result does not depend on how many run.
 func (g Generator) Matrix(first, n int64) (x []float64, labels []float64) {
 	x = make([]float64, n*Features)
 	labels = make([]float64, n)
-	for i := int64(0); i < n; i++ {
-		label := g.Fill(x[i*Features:(i+1)*Features], first+i)
-		labels[i] = float64(label)
-	}
+	// The background context never cancels, so MapReduce cannot fail.
+	_, _ = exec.MapReduce(context.Background(), renderBlocks(n), 0,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, b exec.Block) {
+			g.fillRows(x[b.Lo*Features:b.Hi*Features], labels[b.Lo:b.Hi], first+int64(b.Lo))
+		},
+		func(_, _ struct{}) {})
 	return x, labels
 }
 
 // WriteDataset streams n images (starting at index 0) into an M3
 // dataset file with labels, using constant memory. This is how the
 // paper's 10–190 GB files are materialized for the real-mmap runs.
+// The file's bytes depend on (Seed, n) alone, not on the core count.
+// A failed call leaves no file behind.
 func (g Generator) WriteDataset(path string, n int64) error {
 	w, err := dataset.Create(path, n, Features, true)
 	if err != nil {
 		return err
 	}
-	row := make([]float64, Features)
-	for i := int64(0); i < n; i++ {
-		label := g.Fill(row, i)
-		if err := w.WriteRow(row, float64(label)); err != nil {
-			return err
-		}
+	return g.writeTo(w, n, 0)
+}
+
+// rows is one rendered block on its way to the writer.
+type rows struct{ x, labels []float64 }
+
+// writeTo renders n images on workers goroutines (<= 0: one per CPU),
+// appends them to w in index order and closes it; on any error it
+// aborts w instead. exec.MapReduce is the ordered pipeline: a block's
+// state is its rendered rows, merging a state is writing it, states
+// merge in ascending block order and at most 2×workers are alive (plus
+// MapReduce's root state, which stays idle), so the stream w sees is
+// the sequential one's and the memory held does not grow with n.
+func (g Generator) writeTo(w *dataset.Writer, n int64, workers int) error {
+	pool := sync.Pool{New: func() any {
+		return &rows{make([]float64, blockRows*Features), make([]float64, blockRows)}
+	}}
+	// A failed write cancels the scan: no further block is rendered.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var werr error
+	_, err := exec.MapReduce(ctx, renderBlocks(n), workers,
+		func() *rows { return pool.Get().(*rows) },
+		func(r *rows, b exec.Block) {
+			r.x, r.labels = r.x[:b.Len()*Features], r.labels[:b.Len()]
+			g.fillRows(r.x, r.labels, int64(b.Lo))
+		},
+		func(_, r *rows) {
+			if werr == nil {
+				if werr = w.WriteRows(r.x, r.labels); werr != nil {
+					cancel()
+				}
+			}
+			pool.Put(r)
+		})
+	if werr != nil {
+		err = werr
+	}
+	if err != nil {
+		return errors.Join(err, w.Abort())
 	}
 	return w.Close()
 }

@@ -11,7 +11,10 @@
 // a pure function of seed and i), and unbounded supply.
 package infimnist
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Side is the image edge length in pixels.
 const Side = 28
@@ -99,46 +102,105 @@ var digitStrokes = [Classes][]stroke{
 	},
 }
 
-// strokeWidth is the half-thickness of a stroke in unit coordinates.
-const strokeWidth = 0.055
+// strokeWidth is the half-thickness of a stroke in unit coordinates;
+// ink fades smoothly to nothing over feather beyond it.
+const (
+	strokeWidth = 0.055
+	feather     = 0.035
+	inkReach    = strokeWidth + feather
+)
 
-// distToSegment returns the distance from p to segment ab.
-func distToSegment(p, a, b point) float64 {
-	abx, aby := b.x-a.x, b.y-a.y
-	apx, apy := p.x-a.x, p.y-a.y
-	den := abx*abx + aby*aby
+// segment is one polyline segment ab, stored as the operands the
+// point-to-segment distance needs: a, b−a and |b−a|².
+type segment struct{ ax, ay, abx, aby, den float64 }
+
+// sqDist returns the squared distance from (x, y) to the segment.
+func (s *segment) sqDist(x, y float64) float64 {
 	t := 0.0
-	if den > 0 {
-		t = (apx*abx + apy*aby) / den
+	if s.den > 0 {
+		t = ((x-s.ax)*s.abx + (y-s.ay)*s.aby) / s.den
 		if t < 0 {
 			t = 0
 		} else if t > 1 {
 			t = 1
 		}
 	}
-	dx := p.x - (a.x + t*abx)
-	dy := p.y - (a.y + t*aby)
-	return math.Sqrt(dx*dx + dy*dy)
+	dx := x - (s.ax + t*s.abx)
+	dy := y - (s.ay + t*s.aby)
+	return dx*dx + dy*dy
 }
 
-// intensityAt returns the ink intensity in [0,1] of digit d at unit
-// coordinates (x, y): 1 on a stroke centerline, falling smoothly to 0
-// past the stroke width (a cheap anti-aliasing).
-func intensityAt(d int, x, y float64) float64 {
-	p := point{x, y}
-	best := math.Inf(1)
-	for _, s := range digitStrokes[d] {
-		for i := 0; i+1 < len(s); i++ {
-			if dist := distToSegment(p, s[i], s[i+1]); dist < best {
-				best = dist
+// gridSide is the resolution of the culling grid over the unit
+// square. A power of two, so int(x*gridSide) is the exact cell of x.
+const gridSide = 64
+
+// digitIndex is a digit's segments plus, for every grid cell, the
+// list of segments that can put ink into it. near[start[c]:start[c+1]]
+// indexes segs for cell c = cy*gridSide + cx.
+type digitIndex struct {
+	segs  []segment
+	start [gridSide*gridSide + 1]uint16
+	near  []uint8
+}
+
+// digits indexes every digit, on first use: building the grids takes a
+// few milliseconds that a process which renders nothing should not pay.
+var digits = sync.OnceValue(func() *[Classes]digitIndex {
+	idx := new([Classes]digitIndex)
+	// No point of a cell is farther from its center than half the
+	// diagonal, so a segment farther than reach from the center is
+	// farther than inkReach (with room for rounding) from every point
+	// of the cell: there it can only lose to a nearer segment or
+	// confirm an intensity of zero, and leaving it out changes nothing.
+	const reach = inkReach + 1e-9 + math.Sqrt2/2/gridSide
+	for d := range idx {
+		g := &idx[d]
+		for _, s := range digitStrokes[d] {
+			for i := 0; i+1 < len(s); i++ {
+				a, b := s[i], s[i+1]
+				abx, aby := b.x-a.x, b.y-a.y
+				g.segs = append(g.segs, segment{a.x, a.y, abx, aby, abx*abx + aby*aby})
 			}
 		}
+		for c := 0; c < gridSide*gridSide; c++ {
+			x := (float64(c%gridSide) + 0.5) / gridSide
+			y := (float64(c/gridSide) + 0.5) / gridSide
+			for k := range g.segs {
+				if math.Sqrt(g.segs[k].sqDist(x, y)) <= reach {
+					g.near = append(g.near, uint8(k))
+				}
+			}
+			g.start[c+1] = uint16(len(g.near))
+		}
 	}
-	const feather = 0.035
+	return idx
+})
+
+// intensityAt returns the ink intensity in [0,1] of the digit at unit
+// coordinates (x, y), both in [0, 1): 1 on a stroke centerline,
+// falling smoothly to 0 past the stroke width (a cheap anti-aliasing).
+//
+// Only the segments listed for the point's grid cell are measured, and
+// the minimum is taken over squared distances with one square root at
+// the end; math.Sqrt is monotone and correctly rounded, so that is the
+// minimum of the distances, bit for bit.
+func (g *digitIndex) intensityAt(x, y float64) float64 {
+	c := int(y*gridSide)*gridSide + int(x*gridSide)
+	near := g.near[g.start[c]:g.start[c+1]]
+	if len(near) == 0 {
+		return 0
+	}
+	best := math.Inf(1)
+	for _, k := range near {
+		if d2 := g.segs[k].sqDist(x, y); d2 < best {
+			best = d2
+		}
+	}
+	best = math.Sqrt(best)
 	switch {
 	case best <= strokeWidth:
 		return 1
-	case best >= strokeWidth+feather:
+	case best >= inkReach:
 		return 0
 	default:
 		t := (best - strokeWidth) / feather
@@ -153,11 +215,12 @@ func Prototype(d int) []float64 {
 		panic("infimnist: digit out of range")
 	}
 	img := make([]float64, Features)
+	g := &digits()[d]
 	for py := 0; py < Side; py++ {
 		for px := 0; px < Side; px++ {
 			x := (float64(px) + 0.5) / Side
 			y := (float64(py) + 0.5) / Side
-			img[py*Side+px] = intensityAt(d, x, y)
+			img[py*Side+px] = g.intensityAt(x, y)
 		}
 	}
 	return img
