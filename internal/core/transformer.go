@@ -87,9 +87,10 @@ func (ds *Dataset) Release() error {
 // budget, mmap-backed above — out-of-core pipelines never force an
 // intermediate onto the heap), and the pass runs blocked on the
 // shared execution layer with ctx cancellation at block granularity.
-// newFn is called once per block to instantiate the row kernel —
-// giving each a private home for reusable scratch (a centering
-// buffer, say) with no cross-worker sharing; the kernel receives the
+// newFn is called once per block state (a few per scan worker; states
+// are recycled) to instantiate the row kernel — giving each a private
+// home for reusable scratch (a centering buffer, say) with no
+// cross-worker sharing; the kernel receives the
 // destination row (outCols wide, reused within the block) and the
 // source row, and returns the row to store (dst, or src for identity
 // kernels). Each output row is written by exactly one worker, so the
@@ -125,16 +126,21 @@ func TransformDataset(ctx context.Context, ds *Dataset, outCols, workers int, ne
 		out.X.SetWorkersHint(ds.Workers)
 	}
 
+	// A block's state is a kernel and its destination row; neither
+	// carries anything from one block to the next, so a state is reused
+	// as it is.
 	type blockState struct {
 		buf []float64
 		fn  RowKernel
 	}
-	_, _, err := exec.ReduceRows(ds.X.ScanCtx(ctx, workers),
-		func() *blockState { return &blockState{buf: make([]float64, outCols), fn: newFn()} },
-		func(st *blockState, i int, row []float64) {
+	_, _, err := exec.Aggregate[*blockState]{
+		Alloc: func() *blockState { return &blockState{buf: make([]float64, outCols), fn: newFn()} },
+		Reset: func(*blockState) {},
+		Block: exec.EachRow(ds.X.Cols(), func(st *blockState, i int, row []float64) {
 			out.X.SetRow(i, st.fn(st.buf, row))
-		},
-		func(dst, src *blockState) {})
+		}),
+		Merge: func(dst, src *blockState) {},
+	}.Reduce(ds.X.ScanCtx(ctx, workers))
 	if err != nil {
 		return nil, errors.Join(err, out.Release())
 	}

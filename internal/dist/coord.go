@@ -79,8 +79,10 @@ type workerConn struct {
 	seq    uint64
 	lo, hi int
 	// mu serializes calls on the connection (the protocol is strictly
-	// request/response).
-	mu sync.Mutex
+	// request/response) and guards frame, which every request frame is
+	// assembled in.
+	mu    sync.Mutex
+	frame bytes.Buffer
 }
 
 // Coordinator drives distributed fits over a set of dialed workers.
@@ -164,19 +166,30 @@ func (c *Coordinator) call(ctx context.Context, w *workerConn, req request) ([]b
 	}
 	w.seq++
 	req.Seq = w.seq
-	w.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
+	// The hook runs on its own goroutine and may outlive stop(), so it
+	// holds the connection itself — Close clears w.conn — and call does
+	// not return while it runs: the next call's deadline is then set
+	// after this one's was poked, never before.
+	conn := w.conn
+	conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
+	poked := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
-		w.conn.SetDeadline(time.Unix(1, 0))
+		defer close(poked)
+		conn.SetDeadline(time.Unix(1, 0))
 	})
-	defer stop()
-	sent, err := writeFrame(w.conn, &req)
+	defer func() {
+		if !stop() {
+			<-poked
+		}
+	}()
+	sent, err := writeFrame(conn, &w.frame, &req)
 	c.bytesSent.Add(int64(sent))
 	bytesSentTotal.With(op).Add(float64(sent))
 	if err != nil {
 		return nil, c.rpcErr(ctx, w, op, err)
 	}
 	var envelope response
-	recvd, err := readFrame(w.conn, &envelope)
+	recvd, err := readFrame(conn, &envelope)
 	c.bytesRecv.Add(int64(recvd))
 	bytesRecvTotal.With(op).Add(float64(recvd))
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,6 +80,14 @@ func openLocal(t *testing.T, path string) (*mat.Dense, []float64) {
 // returns a coordinator dialed to all of them.
 func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
 	t.Helper()
+	return dial(t, startWorkers(t, k, cfg, nil))
+}
+
+// startWorkers launches k in-process workers on ephemeral ports, each
+// serving wrap's view of its listener (nil: the listener itself), and
+// returns their addresses.
+func startWorkers(t *testing.T, k int, cfg WorkerConfig, wrap func(i int, ln net.Listener) net.Listener) []string {
+	t.Helper()
 	addrs := make([]string, k)
 	for i := 0; i < k; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,6 +95,9 @@ func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
+		if wrap != nil {
+			ln = wrap(i, ln)
+		}
 		w := NewWorker(cfg)
 		go w.Serve(ln)
 		t.Cleanup(func() {
@@ -94,12 +106,78 @@ func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
 			w.Shutdown(ctx)
 		})
 	}
+	return addrs
+}
+
+// dial returns a coordinator over the workers at addrs.
+func dial(t *testing.T, addrs []string) *Coordinator {
+	t.Helper()
 	c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// faultyListener injects a fault from inside a round: every connection
+// it accepts after arm(n, fault) runs fault when the n-th request
+// arrives on it and drops the connection instead of delivering that
+// request to the worker. The request is never answered, so the fit
+// cannot finish ahead of the fault however the scheduler treats the
+// test's goroutines. Requests to a worker are numbered from 1: open,
+// reset, then one per round (the first worker also gets stat, first).
+type faultyListener struct {
+	net.Listener
+	mu    sync.Mutex
+	n     int
+	fault func()
+}
+
+func (l *faultyListener) arm(n int, fault func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.n, l.fault = n, fault
+}
+
+func (l *faultyListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &faultyConn{Conn: c, n: l.n, fault: l.fault, answered: true}, nil
+}
+
+// faultyConn is used by one goroutine, the worker's connection
+// handler, which reads a request and then writes its answer; a request
+// begins at the first read after a write, or after the connection
+// opened.
+type faultyConn struct {
+	net.Conn
+	n        int
+	fault    func()
+	seen     int
+	answered bool
+}
+
+func (c *faultyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.answered {
+		c.answered = false
+		if c.seen++; c.seen == c.n {
+			c.fault()
+			c.Conn.Close()
+			return 0, net.ErrClosed
+		}
+	}
+	return n, err
+}
+
+func (c *faultyConn) Write(p []byte) (int, error) {
+	c.answered = true
+	return c.Conn.Write(p)
 }
 
 // eqFloats asserts bit-exact equality of two float slices.
@@ -419,40 +497,20 @@ func TestMaterializedPipelineParity(t *testing.T) {
 // instead of hanging.
 func TestWorkerDiesMidFit(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
-	addrs := make([]string, 3)
-	workers := make([]*Worker, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		workers[i] = NewWorker(WorkerConfig{Mode: core.InMemory, Workers: 2})
-		go workers[i].Serve(ln)
-	}
-	defer func() {
-		for _, w := range workers {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			w.Shutdown(ctx)
-			cancel()
-		}
-	}()
-	c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Kill worker 1 once the fit is demonstrably mid-optimization.
-	go func() {
-		for c.Stats().Rounds < 3 {
-			time.Sleep(time.Millisecond)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // force: close live connections instead of draining
-		workers[1].Shutdown(ctx)
-	}()
-	_, err = c.Fit(context.Background(), path, Spec{
+	// Worker 1 drops its connection on the fifth request it is sent —
+	// the third round of the optimization — without answering it.
+	dying := &faultyListener{}
+	dying.arm(5, func() {})
+	addrs := startWorkers(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2},
+		func(i int, ln net.Listener) net.Listener {
+			if i != 1 {
+				return ln
+			}
+			dying.Listener = ln
+			return dying
+		})
+	c := dial(t, addrs)
+	_, err := c.Fit(context.Background(), path, Spec{
 		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
 	})
 	if err == nil {
@@ -467,15 +525,20 @@ func TestWorkerDiesMidFit(t *testing.T) {
 // checks the fit unwinds promptly with ctx.Err().
 func TestCancelMidFit(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
-	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		// Cancel once the fit is demonstrably mid-optimization.
-		for c.Stats().Rounds < 3 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
+	defer cancel()
+	// The sixth request to worker 0 (after stat, open and reset) is the
+	// third round of the optimization; it cancels instead of answering.
+	canceling := &faultyListener{}
+	canceling.arm(6, cancel)
+	c := dial(t, startWorkers(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2},
+		func(i int, ln net.Listener) net.Listener {
+			if i != 0 {
+				return ln
+			}
+			canceling.Listener = ln
+			return canceling
+		}))
 	start := time.Now()
 	_, err := c.Fit(ctx, path, Spec{
 		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
@@ -485,6 +548,69 @@ func TestCancelMidFit(t *testing.T) {
 	}
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("cancellation took %v", took)
+	}
+}
+
+// TestCancelAtEveryRequest cancels a 3-shard fit at each request the
+// first worker is sent in turn — stat, open, reset, every round — and
+// closes the coordinator at once. The cancellation hook of a call must
+// be over by the time the call returns: a late one used to find the
+// connection gone (a nil dereference in a goroutine nobody recovers)
+// or to poke its 1970 deadline into the next call. Then the same
+// workers must serve a fresh coordinator a whole fit, bit for bit the
+// undisturbed one.
+func TestCancelAtEveryRequest(t *testing.T) {
+	path := writeTestData(t, 1100, 6, 10)
+	spec := Spec{Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 3}
+	first := &faultyListener{}
+	addrs := startWorkers(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2},
+		func(i int, ln net.Listener) net.Listener {
+			if i != 0 {
+				return ln
+			}
+			first.Listener = ln
+			return first
+		})
+	fitOnce := func(ctx context.Context) (any, error) {
+		c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := c.Fit(ctx, path, spec)
+		if cerr := c.Close(); cerr != nil {
+			t.Errorf("close: %v", cerr)
+		}
+		return model, err
+	}
+	want, err := fitOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; ; n++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		first.arm(n, cancel)
+		_, err := fitOnce(ctx)
+		fired := ctx.Err() != nil
+		cancel()
+		if !fired {
+			// The fit has fewer than n requests: every one was tried.
+			if err != nil {
+				t.Fatalf("undisturbed fit: %v", err)
+			}
+			if n < 6 {
+				t.Fatalf("the fit made only %d requests; expected stat, open, reset and some rounds", n-1)
+			}
+			return
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at request %d: err = %v, want context.Canceled", n, err)
+		}
+		first.arm(0, nil)
+		got, err := fitOnce(context.Background())
+		if err != nil {
+			t.Fatalf("fit after a cancellation at request %d: %v", n, err)
+		}
+		eqFloats(t, "weights", got.(*logreg.Model).Weights, want.(*logreg.Model).Weights)
 	}
 }
 
@@ -727,7 +853,7 @@ func TestReadFrameTruncatedHeaderIsCheap(t *testing.T) {
 // frame appended after a well-formed first must still decode.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	if _, err := writeFrame(&good, &request{Seq: 7, Op: "reduce", Pass: "logreg/grad", Body: []byte{1, 2, 3}}); err != nil {
+	if _, err := writeFrame(&good, new(bytes.Buffer), &request{Seq: 7, Op: "reduce", Pass: "logreg/grad", Body: []byte{1, 2, 3}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())

@@ -98,22 +98,23 @@ func decodeBody(b []byte, v any) error {
 	return nil
 }
 
-// writeFrame writes one length-prefixed gob frame.
-func writeFrame(w io.Writer, v any) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// writeFrame writes one length-prefixed gob frame. The frame is
+// assembled in buf — the connection's, reused from frame to frame, so
+// a round of megabyte replies does not regrow one from nothing — and
+// goes out in a single Write.
+func writeFrame(w io.Writer, buf *bytes.Buffer, v any) (int, error) {
+	buf.Reset()
+	var hdr [4]byte
+	buf.Write(hdr[:])
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return 0, fmt.Errorf("dist: encode frame: %w", err)
 	}
-	if buf.Len() > maxFrameBytes {
-		return 0, fmt.Errorf("dist: frame of %d bytes exceeds limit", buf.Len())
+	n := buf.Len() - len(hdr)
+	if n > maxFrameBytes {
+		return 0, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf.Bytes())
-	return 4 + n, err
+	binary.BigEndian.PutUint32(buf.Bytes(), uint32(n))
+	return w.Write(buf.Bytes())
 }
 
 // readFrame reads one length-prefixed gob frame into v, returning the

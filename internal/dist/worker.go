@@ -127,6 +127,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 	defer s.close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var frame bytes.Buffer // every response frame of this connection
 	for {
 		var req request
 		if _, err := readFrame(conn, &req); err != nil {
@@ -147,7 +148,7 @@ func (w *Worker) handleConn(conn net.Conn) {
 		if err != nil {
 			resp = response{Seq: req.Seq, Err: err.Error()}
 		}
-		if _, err := writeFrame(conn, &resp); err != nil {
+		if _, err := writeFrame(conn, &frame, &resp); err != nil {
 			return
 		}
 	}
@@ -175,6 +176,10 @@ type session struct {
 	// view's width, the label views and the fit's row-indexed scratch.
 	// reset replaces it.
 	shard *fit.Shard
+
+	// reply holds the encoded group states of the reduce being
+	// answered; its bytes are the response body until the next request.
+	reply bytes.Buffer
 }
 
 // close releases everything the session holds.
@@ -241,11 +246,11 @@ func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
 	case "reduce":
 		scan := s.view.ScanCtx(ctx, s.cfg.Workers)
 		scan.GroupRows = s.groupRows
-		reply, err := fit.Serve(req.Pass, s.shard, scan, req.Body)
-		if err != nil {
+		s.reply.Reset()
+		if err := fit.Serve(req.Pass, s.shard, scan, req.Body, &s.reply); err != nil {
 			return nil, fmt.Errorf("shard [%d, %d): %w", s.lo, s.hi, err)
 		}
-		return reply, nil
+		return s.reply.Bytes(), nil
 	case "kmeans/sample":
 		var r sampleReq
 		if err := decodeBody(req.Body, &r); err != nil {

@@ -21,18 +21,32 @@
 // folds the group states in ascending row order.
 //
 // An algorithm states each of its data passes once, as an Aggregate:
-// how to allocate a zero state, how to accumulate a row block into it
-// and how to merge two states. Every executor runs that one statement
-// through reduceRowScan. A local fit folds it to a root
-// (Aggregate.Reduce, i.e. ReduceRowBlocks); a fused pipeline is the
-// same call on a scan with Transform set; a distributed worker
-// holding a group-aligned row shard stops one fold short and ships
-// its group states (Aggregate.Groups, i.e. ReduceRowGroups), and a
-// coordinator that merges them in global row order performs literally
-// the sequence of floating-point merges a single-process fit
-// performs — K-shard results are bit-identical to local ones, not
-// merely close. internal/fit names aggregates so that a worker can
-// look one up (fit.Declare) and picks the executor (fit.Reduce).
+// how to allocate a zero state, how to return a used state to that
+// (Reset), how to accumulate a row block into it and how to merge two
+// states. Every executor runs that one statement through
+// reduceRowScan. A local fit folds it to a root (Aggregate.Reduce); a
+// fused pipeline is the same call on a scan with Transform set; a
+// distributed worker holding a group-aligned row shard stops one fold
+// short and ships its group states as they complete
+// (Aggregate.EachGroup), and a coordinator that merges them in global
+// row order performs literally the sequence of floating-point merges
+// a single-process fit performs — K-shard results are bit-identical
+// to local ones, not merely close. internal/fit names aggregates so
+// that a worker can look one up (fit.Declare) and picks the executor
+// (fit.Reduce).
+//
+// The answer is a fold, so it needs the states in flight, not one per
+// block. A worker draws a slot from a window of 2×workers before it
+// claims a block and the reducer hands the slot back — with the merged
+// state in it — after the merge. The window therefore bounds the
+// states that are alive at once and, for an aggregate with a Reset,
+// the states that are ever allocated: min(2×workers, blocks) block
+// states, one group state and the root, a function of the pool and
+// never of the row count or of timing. (Without a Reset a state is
+// allocated per block and per group, which suits a counter.) The
+// price is one rule for whoever receives a state — process, merge's
+// src, EachGroup's emit: it must not keep the state past its return,
+// because the next block or group will be accumulated into it.
 //
 // The layer integrates with the storage stack rather than sitting on
 // top of it:
@@ -106,6 +120,12 @@ func Partition(n, itemBytes, targetBlockBytes int) []Block {
 	if n <= 0 {
 		return nil
 	}
+	per := itemsPerBlock(itemBytes, targetBlockBytes)
+	return appendBlocks(make([]Block, 0, (n+per-1)/per), 0, n, per)
+}
+
+// itemsPerBlock is Partition's block height.
+func itemsPerBlock(itemBytes, targetBlockBytes int) int {
 	if itemBytes <= 0 {
 		itemBytes = 8
 	}
@@ -116,17 +136,14 @@ func Partition(n, itemBytes, targetBlockBytes int) []Block {
 	// Snap the block budget to a whole number of pages, then convert
 	// to items, rounding up so a block always covers >= 1 page.
 	blockBytes := (targetBlockBytes + ps - 1) / ps * ps
-	itemsPerBlock := blockBytes / itemBytes
-	if itemsPerBlock < 1 {
-		itemsPerBlock = 1
-	}
-	blocks := make([]Block, 0, (n+itemsPerBlock-1)/itemsPerBlock)
-	for lo := 0; lo < n; lo += itemsPerBlock {
-		hi := lo + itemsPerBlock
-		if hi > n {
-			hi = n
-		}
-		blocks = append(blocks, Block{Lo: lo, Hi: hi})
+	return max(blockBytes/itemBytes, 1)
+}
+
+// appendBlocks cuts [lo, hi) into blocks of per items (the last one
+// keeps the remainder).
+func appendBlocks(blocks []Block, lo, hi, per int) []Block {
+	for ; lo < hi; lo += per {
+		blocks = append(blocks, Block{Lo: lo, Hi: min(lo+per, hi)})
 	}
 	return blocks
 }
@@ -169,27 +186,35 @@ func ctxErr(ctx context.Context) error {
 // and merges the per-block partial states into a fresh root state in
 // ascending block order. alloc must return a zero-valued state;
 // process must not retain its state after returning; merge folds src
-// into dst. The reduction order — and therefore every floating-point
-// association — is independent of the worker count.
+// into dst and must not retain src. The reduction order — and
+// therefore every floating-point association — is independent of the
+// worker count.
+//
+// reset, when non-nil, returns a used state to what alloc returns, and
+// block states are then recycled: the scan allocates at most
+// min(2·workers, len(blocks)) of them however many blocks it has. A nil
+// reset allocates one state per block, which is right for value-sized
+// states (a counter, struct{}).
 //
 // ctx cancels the scan at block granularity: no new block starts after
 // cancellation (blocks already in flight finish), and the returned
 // error is ctx.Err(). The partial root state accompanying a non-nil
 // error is incomplete and must be discarded. A nil ctx never cancels.
-func MapReduce[T any](ctx context.Context, blocks []Block, workers int, alloc func() T, process func(state T, b Block), merge func(dst, src T)) (T, error) {
-	return mapReduceWorker(ctx, blocks, workers,
-		alloc, func(state T, _ int, b Block) { process(state, b) }, merge)
+func MapReduce[T any](ctx context.Context, blocks []Block, workers int, alloc func() T, reset func(T), process func(state T, b Block), merge func(dst, src T)) (T, error) {
+	out := alloc()
+	err := mapReduceWorker(ctx, blocks, workers, out,
+		alloc, reset, func(state T, _ int, b Block) { process(state, b) }, merge)
+	return out, err
 }
 
-// mapReduceWorker is MapReduce with the pool-worker index threaded to
-// process: worker w runs on exactly one goroutine at a time, so
-// per-worker resources (a store.TouchStream, a CPU accumulator) can
-// be indexed by w without further synchronization. The sequential
-// path always reports worker 0.
-func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, alloc func() T, process func(state T, worker int, b Block), merge func(dst, src T)) (T, error) {
-	out := alloc()
+// mapReduceWorker is MapReduce into a root the caller supplies, with
+// the pool-worker index threaded to process: worker w runs on exactly
+// one goroutine at a time, so per-worker resources (a
+// store.TouchStream, a CPU accumulator) can be indexed by w without
+// further synchronization. The sequential path always reports worker 0.
+func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, out T, alloc func() T, reset func(T), process func(state T, worker int, b Block), merge func(dst, src T)) error {
 	if len(blocks) == 0 {
-		return out, ctxErr(ctx)
+		return ctxErr(ctx)
 	}
 	workers = Workers(workers)
 	if workers > len(blocks) {
@@ -198,31 +223,36 @@ func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, al
 	if workers == 1 {
 		// Same block structure and merge association as the parallel
 		// path, so one worker and N workers agree bit for bit.
+		slot := recycler[T]{alloc: alloc, reset: reset}
 		for _, b := range blocks {
 			if err := ctxErr(ctx); err != nil {
-				return out, err
+				return err
 			}
-			s := alloc()
+			s := slot.next()
 			process(s, 0, b)
 			merge(out, s)
 		}
-		return out, ctxErr(ctx)
+		return ctxErr(ctx)
 	}
 
 	type item struct {
-		i int
-		s T
+		i    int
+		s    T
+		slot *recycler[T]
 	}
-	// The in-flight window bounds live partial states at O(workers):
-	// a worker takes a token before claiming a block and the reducer
-	// returns it after the merge, so one slow block (a major-fault
-	// stall on block 0, say) cannot let the rest of the pool race
-	// ahead and pile up unmerged partials — which matters when a
-	// partial is a whole vector, as in PageRank.
+	// The in-flight window bounds partial states at O(workers): a
+	// worker takes a slot before claiming a block and the reducer
+	// returns it after the merge. So one slow block (a major-fault
+	// stall on block 0, say) cannot let the rest of the pool race ahead
+	// and pile up unmerged partials, and with a reset — a slot then
+	// keeps its state for its next holder — no more than window states
+	// are ever allocated: min(window, blocks) of them, whatever the
+	// timing. That matters when a partial is a whole vector (PageRank)
+	// or a K×D block (k-means).
 	window := 2 * workers
-	tokens := make(chan struct{}, window)
+	slots := make(chan *recycler[T], window)
 	for i := 0; i < window; i++ {
-		tokens <- struct{}{}
+		slots <- &recycler[T]{alloc: alloc, reset: reset}
 	}
 	ch := make(chan item, window)
 	var next atomic.Int64
@@ -232,7 +262,7 @@ func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, al
 		go func(w int) {
 			defer wg.Done()
 			for {
-				<-tokens
+				slot := <-slots
 				i := int(next.Add(1)) - 1
 				if i >= len(blocks) || ctxErr(ctx) != nil {
 					// Cancelled workers stop claiming blocks; the
@@ -240,12 +270,12 @@ func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, al
 					// leaves a gap the reducer never merges past —
 					// fine, because the partial result is discarded
 					// alongside the returned error.
-					tokens <- struct{}{}
+					slots <- slot
 					return
 				}
-				s := alloc()
+				s := slot.next()
 				process(s, w, blocks[i])
-				ch <- item{i: i, s: s}
+				ch <- item{i: i, s: s, slot: slot}
 			}
 		}(w)
 	}
@@ -257,23 +287,45 @@ func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, al
 	// Ordered streaming reduce: merge block k only after blocks
 	// 0..k-1. Progress is guaranteed: blocks are claimed in order, so
 	// the lowest unmerged block is always either in pending (merged
-	// immediately below) or being processed by a token-holding worker.
-	pending := make(map[int]T, window)
+	// immediately below) or being processed by a slot-holding worker.
+	pending := make(map[int]item, window)
 	nextMerge := 0
 	for it := range ch {
-		pending[it.i] = it.s
+		pending[it.i] = it
 		for {
-			s, ok := pending[nextMerge]
+			ready, ok := pending[nextMerge]
 			if !ok {
 				break
 			}
 			delete(pending, nextMerge)
-			merge(out, s)
+			merge(out, ready.s)
 			nextMerge++
-			tokens <- struct{}{}
+			slots <- ready.slot
 		}
 	}
-	return out, ctxErr(ctx)
+	return ctxErr(ctx)
+}
+
+// recycler hands out zero states to a holder that is done with each
+// before it asks for the next: with a reset that is one state, reset
+// between uses; without one, a new state every time.
+type recycler[T any] struct {
+	alloc func() T
+	reset func(T)
+	s     T
+	live  bool
+}
+
+func (r *recycler[T]) next() T {
+	if r.live {
+		r.reset(r.s)
+		return r.s
+	}
+	s := r.alloc()
+	if r.reset != nil {
+		r.s, r.live = s, true
+	}
+	return s
 }
 
 // RowKernel is one link of a fused transform chain: it maps a source
@@ -373,18 +425,10 @@ func (s RowScan) Named(name string) RowScan {
 // the shard starts on a group boundary.
 func (s RowScan) Blocks() []Block {
 	gr := s.groupRows()
-	if s.Rows <= gr {
-		return Partition(s.Rows, s.Cols*8, s.BlockBytes)
-	}
-	blocks := make([]Block, 0, 2*MaxRowGroups)
+	per := itemsPerBlock(s.Cols*8, s.BlockBytes)
+	blocks := make([]Block, 0, s.NumGroups()*((min(gr, s.Rows)+per-1)/per))
 	for glo := 0; glo < s.Rows; glo += gr {
-		ghi := glo + gr
-		if ghi > s.Rows {
-			ghi = s.Rows
-		}
-		for _, b := range Partition(ghi-glo, s.Cols*8, s.BlockBytes) {
-			blocks = append(blocks, Block{Lo: glo + b.Lo, Hi: glo + b.Hi})
-		}
+		blocks = appendBlocks(blocks, glo, min(glo+gr, s.Rows), per)
 	}
 	return blocks
 }
@@ -396,6 +440,13 @@ func (s RowScan) groupRows() int {
 		return s.GroupRows
 	}
 	return GroupRows(s.Rows)
+}
+
+// NumGroups returns how many merge groups the scan's rows fall into —
+// how many states EachGroup will emit.
+func (s RowScan) NumGroups() int {
+	gr := s.groupRows()
+	return (s.Rows + gr - 1) / gr
 }
 
 // srcCols resolves the width of the rows actually read from the
@@ -471,23 +522,20 @@ type GroupPartial[T any] struct {
 // When s.Ctx is cancelled the scan stops within one block and returns
 // s.Ctx.Err(); the partial state must then be discarded.
 func ReduceRowBlocks[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int, block []float64, stride int), merge func(dst, src T)) (T, float64, error) {
-	root := alloc()
-	stall, err := reduceRowScan(s, alloc, fn, merge,
-		func(_, _ int, group T) { merge(root, group) })
-	return root, stall, err
+	return Aggregate[T]{Alloc: alloc, Block: fn, Merge: merge}.reduce(s)
 }
 
 // ReduceRowGroups is ReduceRowBlocks stopped one fold short: it
 // returns the per-group partial states, in ascending row order,
-// instead of folding them into a root. A distributed worker calls
-// this on its shard scan (with RowScan.GroupRows set to the global
-// group height) and ships the partials; the coordinator refolds all
-// shards' groups in global row order and obtains the exact bits a
-// local ReduceRowBlocks would have produced. On error the partials
-// are withheld (nil) — an interrupted scan has incomplete groups.
+// instead of folding them into a root. Refolding them with merge
+// reproduces the ReduceRowBlocks root bit for bit. On error the
+// partials are withheld (nil) — an interrupted scan has incomplete
+// groups.
 func ReduceRowGroups[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int, block []float64, stride int), merge func(dst, src T)) ([]GroupPartial[T], float64, error) {
 	groups := make([]GroupPartial[T], 0, MaxRowGroups)
-	stall, err := reduceRowScan(s, alloc, fn, merge,
+	// No reset: every group state is a fresh one, so keeping them is
+	// within emit's contract.
+	stall, err := reduceRowScan(s, alloc, nil, fn, merge,
 		func(lo, hi int, group T) {
 			groups = append(groups, GroupPartial[T]{Lo: lo, Hi: hi, State: group})
 		})
@@ -500,8 +548,8 @@ func ReduceRowGroups[T any](s RowScan, alloc func() T, fn func(state T, lo, hi i
 // Aggregate is one data pass stated once: a zero state, the
 // accumulation of one row block into a state, and the merge of two
 // states. Local, fused and sharded execution all run this statement —
-// Reduce folds it to a root, Groups stops at the merge-group states a
-// coordinator refolds — so they cannot disagree about the arithmetic.
+// Reduce folds it to a root, EachGroup stops at the merge-group states
+// a coordinator refolds — so they cannot disagree about the arithmetic.
 type Aggregate[T any] struct {
 	// Name labels the scan in obs traces ("logreg grad", "pca cov").
 	Name string
@@ -511,10 +559,17 @@ type Aggregate[T any] struct {
 	BlockBytes int
 	// Alloc returns a zero state.
 	Alloc func() T
+	// Reset returns a used state to what Alloc returns — every field,
+	// whatever "zero" is for it (an extremum starts at ±Inf) — so that
+	// a scan can recycle its states and allocate a number of them that
+	// depends on the worker count alone, never on the row count. A
+	// state that owns a slice should have one; nil allocates a state
+	// per block and per group, which suits value-sized states.
+	Reset func(T)
 	// Block accumulates rows [lo, hi) into state (see ReduceRowBlocks
 	// for the block layout; fused scans deliver single-row blocks).
 	Block func(state T, lo, hi int, block []float64, stride int)
-	// Merge folds src into dst.
+	// Merge folds src into dst and must not retain src.
 	Merge func(dst, src T)
 }
 
@@ -527,13 +582,44 @@ func (a Aggregate[T]) on(s RowScan) RowScan {
 	return s
 }
 
-// Reduce folds the aggregate over s to its root (ReduceRowBlocks).
+// Reduce folds the aggregate over s to its root: blocks fold into
+// their merge group's state, groups fold into the root, both in
+// ascending row order (see ReduceRowBlocks).
 func (a Aggregate[T]) Reduce(s RowScan) (T, float64, error) {
-	return ReduceRowBlocks(a.on(s), a.Alloc, a.Block, a.Merge)
+	return a.reduce(a.on(s))
 }
 
-// Groups folds the aggregate over s to its merge-group states
-// (ReduceRowGroups).
+func (a Aggregate[T]) reduce(s RowScan) (T, float64, error) {
+	root := a.Alloc()
+	stall, err := reduceRowScan(s, a.Alloc, a.Reset, a.Block, a.Merge,
+		func(_, _ int, group T) { a.Merge(root, group) })
+	return root, stall, err
+}
+
+// EachGroup is Reduce stopped one fold short: each merge group's
+// state goes to emit, in ascending row order, instead of into a root.
+// emit must not keep the state past its return (the next group reuses
+// it) and is not called for groups a cancellation left incomplete. A
+// distributed worker calls this on its shard scan (with
+// RowScan.GroupRows set to the global group height) and encodes each
+// state as it arrives; the coordinator refolds all shards' groups in
+// global row order and obtains the exact bits a local Reduce would
+// have produced.
+func (a Aggregate[T]) EachGroup(s RowScan, emit func(lo, hi int, state T)) (float64, error) {
+	return reduceRowScan(a.on(s), a.Alloc, a.Reset, a.Block, a.Merge, emit)
+}
+
+// OneAtATime returns a source of zero states for a holder that is done
+// with each before it asks for the next — a coordinator decoding one
+// group after another. With a Reset every call returns the same state,
+// reset; without one, a new state.
+func (a Aggregate[T]) OneAtATime() func() T {
+	r := recycler[T]{alloc: a.Alloc, reset: a.Reset}
+	return r.next
+}
+
+// Groups collects the merge-group states EachGroup streams
+// (ReduceRowGroups): every state it returns is its own allocation.
 func (a Aggregate[T]) Groups(s RowScan) ([]GroupPartial[T], float64, error) {
 	return ReduceRowGroups(a.on(s), a.Alloc, a.Block, a.Merge)
 }
@@ -549,12 +635,15 @@ func EachRow[T any](cols int, fn func(state T, i int, row []float64)) func(state
 	}
 }
 
-// reduceRowScan runs the blocked scan shared by ReduceRowBlocks and
-// ReduceRowGroups: per-block partials fold into zero-rooted group
-// states in ascending block order, and each completed group is handed
-// to emit (ascending, from the single reducing goroutine). emit is
-// not called for groups left incomplete by cancellation.
-func reduceRowScan[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int, block []float64, stride int), merge func(dst, src T), emit func(lo, hi int, group T)) (float64, error) {
+// reduceRowScan runs the blocked scan every executor shares: per-block
+// partials fold into zero-rooted group states in ascending block
+// order, and each completed group is handed to emit (ascending, from
+// the single reducing goroutine). emit must not retain the state: with
+// a reset the one group state is reset and reused for the next group,
+// as block states are (see MapReduce), so a scan allocates at most
+// min(2·workers, blocks) block states and one group state. emit is not
+// called for groups left incomplete by cancellation.
+func reduceRowScan[T any](s RowScan, alloc func() T, reset func(T), fn func(state T, lo, hi int, block []float64, stride int), merge func(dst, src T), emit func(lo, hi int, group T)) (float64, error) {
 	blocks := s.Blocks()
 	data := s.Store.Data()
 	adviser, _ := s.Store.(store.RangeAdviser)
@@ -610,9 +699,10 @@ func reduceRowScan[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int
 	// Grouped fold bookkeeping. The merge callback below runs on a
 	// single goroutine in ascending block order (mapReduceWorker's
 	// contract), so plain captured state suffices: when a block from a
-	// new group arrives, the finished group is emitted and a fresh
-	// zero-valued group state begins.
+	// new group arrives, the finished group is emitted and a zero-valued
+	// group state begins.
 	gr := s.groupRows()
+	groups := recycler[T]{alloc: alloc, reset: reset}
 	var group T
 	groupIdx := -1
 	flush := func() {
@@ -627,8 +717,16 @@ func reduceRowScan[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int
 		emit(lo, hi, group)
 	}
 
-	root, err := mapReduceWorker(s.Ctx, blocks, workers,
+	// The wrapper around a block's user state is always recycled; the
+	// user state is when the caller gave a reset.
+	blockReset := func(st *blockState[T]) { st.user = alloc() }
+	if reset != nil {
+		blockReset = func(st *blockState[T]) { reset(st.user) }
+	}
+	root := &blockState[T]{} // only its stall is used
+	err := mapReduceWorker(s.Ctx, blocks, workers, root,
 		func() *blockState[T] { return &blockState[T]{user: alloc()} },
+		blockReset,
 		func(st *blockState[T], w int, b Block) {
 			st.lo = b.Lo
 			var t0 time.Duration
@@ -684,7 +782,7 @@ func reduceRowScan[T any](s RowScan, alloc func() T, fn func(state T, lo, hi int
 			dst.stall += src.stall
 			if g := src.lo / gr; g != groupIdx {
 				flush()
-				group = alloc()
+				group = groups.next()
 				groupIdx = g
 			}
 			merge(group, src.user)

@@ -67,7 +67,7 @@ func TestMapReduceDeterministicAcrossWorkers(t *testing.T) {
 	blocks := exec.Partition(10000, 8, 4096)
 	run := func(workers int) float64 {
 		sum, _ := exec.MapReduce(context.Background(), blocks, workers,
-			func() *float64 { return new(float64) },
+			func() *float64 { return new(float64) }, nil,
 			func(s *float64, b exec.Block) {
 				for i := b.Lo; i < b.Hi; i++ {
 					*s += 1.0 / float64(i+1)
@@ -366,7 +366,7 @@ func TestMapReduceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	processed := 0
 	_, err := exec.MapReduce(ctx, blocks, 1,
-		func() struct{} { return struct{}{} },
+		func() struct{} { return struct{}{} }, nil,
 		func(_ struct{}, b exec.Block) {
 			processed++
 			cancel() // cancel from inside the first block
@@ -384,7 +384,7 @@ func TestMapReduceCancellation(t *testing.T) {
 	cancel2()
 	ran := false
 	_, err = exec.MapReduce(ctx2, blocks, 4,
-		func() struct{} { return struct{}{} },
+		func() struct{} { return struct{}{} }, nil,
 		func(_ struct{}, b exec.Block) { ran = true },
 		func(_, _ struct{}) {})
 	if err != context.Canceled {

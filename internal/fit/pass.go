@@ -32,79 +32,112 @@ type Pass[A, T any] struct {
 	New func(sh *Shard, arg A) (exec.Aggregate[T], error)
 }
 
-// served maps pass names to the worker half of each declared pass.
-// Filled by Declare from package-level initializers only.
-var served = map[string]func(sh *Shard, s exec.RowScan, arg []byte) ([]byte, error){}
+// declared is one registered pass.
+type declared struct {
+	// serve is the worker half: fold the shard's scan to merge-group
+	// states and append their encoding to reply.
+	serve func(sh *Shard, s exec.RowScan, arg []byte, reply *bytes.Buffer) error
+	// aggregate builds the pass's exec.Aggregate[T] (boxed) at an
+	// encoded argument — what the tests that hold every declared pass
+	// to the Reset contract walk.
+	aggregate func(sh *Shard, arg []byte) (any, error)
+}
+
+// passes maps names to declared passes. Filled by Declare from
+// package-level initializers only.
+var passes = map[string]declared{}
 
 // Declare names a pass and registers its worker half. Call it from a
 // package-level var initializer; a duplicate name panics.
 func Declare[A, T any](name string, build func(sh *Shard, arg A) (exec.Aggregate[T], error)) Pass[A, T] {
-	if _, dup := served[name]; dup {
+	if _, dup := passes[name]; dup {
 		panic("fit: pass " + name + " declared twice")
 	}
-	served[name] = func(sh *Shard, s exec.RowScan, argBytes []byte) ([]byte, error) {
+	at := func(sh *Shard, argBytes []byte) (exec.Aggregate[T], error) {
 		var arg A
 		if err := gob.NewDecoder(bytes.NewReader(argBytes)).Decode(&arg); err != nil {
-			return nil, fmt.Errorf("fit: decode %s argument: %w", name, err)
+			return exec.Aggregate[T]{}, fmt.Errorf("fit: decode %s argument: %w", name, err)
 		}
-		agg, err := build(sh, arg)
+		return build(sh, arg)
+	}
+	serve := func(sh *Shard, s exec.RowScan, argBytes []byte, reply *bytes.Buffer) error {
+		agg, err := at(sh, argBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		groups, stall, err := agg.Groups(s)
+		// Each group is encoded as the scan emits it, so the worker
+		// holds one group state, not one per group.
+		enc := gob.NewEncoder(reply)
+		encErr := enc.Encode(replyHeader{Groups: s.NumGroups()})
+		var g exec.GroupPartial[T]
+		stall, err := agg.EachGroup(s, func(lo, hi int, state T) {
+			if encErr == nil {
+				g = exec.GroupPartial[T]{Lo: lo, Hi: hi, State: state}
+				encErr = enc.Encode(&g)
+			}
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		err = enc.Encode(replyHeader{Groups: len(groups), Stall: stall})
-		for i := 0; err == nil && i < len(groups); i++ {
-			err = enc.Encode(&groups[i])
+		if encErr == nil {
+			encErr = enc.Encode(replyTrailer{Stall: stall})
 		}
-		if err != nil {
-			return nil, fmt.Errorf("fit: encode %s groups: %w", name, err)
+		if encErr != nil {
+			return fmt.Errorf("fit: encode %s groups: %w", name, encErr)
 		}
-		return buf.Bytes(), nil
+		return nil
+	}
+	passes[name] = declared{
+		serve:     serve,
+		aggregate: func(sh *Shard, argBytes []byte) (any, error) { return at(sh, argBytes) },
 	}
 	return Pass[A, T]{Name: name, New: build}
 }
 
-// Serve runs the named pass over one shard's scan and returns its
-// encoded merge-group states — the worker half of a remote Reduce. The
-// scan must carry the global group height (RowScan.GroupRows).
-func Serve(pass string, sh *Shard, s exec.RowScan, arg []byte) ([]byte, error) {
-	run, ok := served[pass]
+// Serve runs the named pass over one shard's scan and appends its
+// encoded merge-group states to reply — the worker half of a remote
+// Reduce. The scan must carry the global group height
+// (RowScan.GroupRows). After an error reply holds a partial encoding
+// and must be discarded.
+func Serve(pass string, sh *Shard, s exec.RowScan, arg []byte, reply *bytes.Buffer) error {
+	p, ok := passes[pass]
 	if !ok {
-		return nil, fmt.Errorf("fit: unknown pass %q", pass)
+		return fmt.Errorf("fit: unknown pass %q", pass)
 	}
-	return run(sh, s, arg)
+	return p.serve(sh, s, arg, reply)
 }
 
-// replyHeader opens a worker's reply; Groups exec.GroupPartial values
-// follow it on the same gob stream, in ascending row order.
-type replyHeader struct {
-	Groups int
-	Stall  float64
-}
+// A worker's reply is one gob stream: a replyHeader, then Groups
+// exec.GroupPartial values in ascending row order, then a
+// replyTrailer. The stall closes the reply because the groups are
+// encoded while the scan that accumulates it is still running.
+type replyHeader struct{ Groups int }
+
+type replyTrailer struct{ Stall float64 }
 
 // absorb merges one worker's reply into root, group by group. Each
-// group decodes into a freshly allocated zero state rather than a nil
-// one: gob omits zero-valued fields, so a group whose state is all
-// zero would otherwise arrive as no state at all.
-func absorb[T any](agg exec.Aggregate[T], root T, reply []byte) (float64, error) {
+// group decodes into a zero state (fresh's) rather than a nil one: gob
+// omits zero-valued fields, so a group whose state is all zero would
+// otherwise arrive as no state at all.
+func absorb[T any](agg exec.Aggregate[T], root T, fresh func() T, reply []byte) (float64, error) {
 	dec := gob.NewDecoder(bytes.NewReader(reply))
 	var h replyHeader
 	if err := dec.Decode(&h); err != nil {
 		return 0, fmt.Errorf("fit: decode %s reply: %w", agg.Name, err)
 	}
+	var g exec.GroupPartial[T]
 	for i := 0; i < h.Groups; i++ {
-		g := exec.GroupPartial[T]{State: agg.Alloc()}
+		g = exec.GroupPartial[T]{State: fresh()}
 		if err := dec.Decode(&g); err != nil {
 			return 0, fmt.Errorf("fit: decode %s group %d of %d: %w", agg.Name, i, h.Groups, err)
 		}
 		agg.Merge(root, g.State)
 	}
-	return h.Stall, nil
+	var t replyTrailer
+	if err := dec.Decode(&t); err != nil {
+		return 0, fmt.Errorf("fit: decode %s reply trailer: %w", agg.Name, err)
+	}
+	return t.Stall, nil
 }
 
 // Round is one pass at one argument in the form a Source can run
@@ -141,6 +174,10 @@ func Reduce[A, T any](ctx context.Context, src Source, p Pass[A, T], arg A) (T, 
 	if err != nil {
 		return root, 0, err
 	}
+	// A remote round decodes every group of every reply into one state,
+	// reset between groups — or, for a state with no Reset, into a new
+	// one each.
+	fresh := agg.OneAtATime()
 	merging := false
 	stall, err := src.Run(ctx, Round{
 		Pass: p.Name,
@@ -153,7 +190,7 @@ func Reduce[A, T any](ctx context.Context, src Source, p Pass[A, T], arg A) (T, 
 			if !merging {
 				root, merging = agg.Alloc(), true
 			}
-			return absorb(agg, root, reply)
+			return absorb(agg, root, fresh, reply)
 		},
 	})
 	return root, stall, err

@@ -97,10 +97,12 @@ func PageRank(ctx context.Context, g *Graph, opts PageRankOptions) ([]float64, i
 		for i := range next {
 			next[i] = base + danglingShare
 		}
-		// One blocked edge scan; per-block partial vectors reduce in
-		// block order into next.
+		// One blocked edge scan; per-block partial vectors (recycled:
+		// a scan allocates 2×workers of them, not one per block) reduce
+		// in block order into next.
 		contrib, err := exec.MapReduce(ctx, blocks, exec.Workers(o.Workers),
 			func() []float64 { return make([]float64, n) },
+			func(part []float64) { clear(part) },
 			func(part []float64, b exec.Block) {
 				g.adviseEdges(mmap.WillNeed, b.Hi, b.Hi+b.Len())
 				for i := b.Lo; i < b.Hi; i++ {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"m3/internal/dataset"
 	"m3/internal/exec"
@@ -167,7 +166,7 @@ func (g Generator) Matrix(first, n int64) (x []float64, labels []float64) {
 	labels = make([]float64, n)
 	// The background context never cancels, so MapReduce cannot fail.
 	_, _ = exec.MapReduce(context.Background(), renderBlocks(n), 0,
-		func() struct{} { return struct{}{} },
+		func() struct{} { return struct{}{} }, nil,
 		func(_ struct{}, b exec.Block) {
 			g.fillRows(x[b.Lo*Features:b.Hi*Features], labels[b.Lo:b.Hi], first+int64(b.Lo))
 		},
@@ -195,19 +194,19 @@ type rows struct{ x, labels []float64 }
 // appends them to w in index order and closes it; on any error it
 // aborts w instead. exec.MapReduce is the ordered pipeline: a block's
 // state is its rendered rows, merging a state is writing it, states
-// merge in ascending block order and at most 2×workers are alive (plus
-// MapReduce's root state, which stays idle), so the stream w sees is
-// the sequential one's and the memory held does not grow with n.
+// merge in ascending block order and a written state is rendered into
+// again as it is (the no-op reset), so at most 2×workers are ever
+// allocated (plus MapReduce's root state, which stays idle): the
+// stream w sees is the sequential one's and the memory held does not
+// grow with n.
 func (g Generator) writeTo(w *dataset.Writer, n int64, workers int) error {
-	pool := sync.Pool{New: func() any {
-		return &rows{make([]float64, blockRows*Features), make([]float64, blockRows)}
-	}}
 	// A failed write cancels the scan: no further block is rendered.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var werr error
 	_, err := exec.MapReduce(ctx, renderBlocks(n), workers,
-		func() *rows { return pool.Get().(*rows) },
+		func() *rows { return &rows{make([]float64, blockRows*Features), make([]float64, blockRows)} },
+		func(*rows) {},
 		func(r *rows, b exec.Block) {
 			r.x, r.labels = r.x[:b.Len()*Features], r.labels[:b.Len()]
 			g.fillRows(r.x, r.labels, int64(b.Lo))
@@ -218,7 +217,6 @@ func (g Generator) writeTo(w *dataset.Writer, n int64, workers int) error {
 					cancel()
 				}
 			}
-			pool.Put(r)
 		})
 	if werr != nil {
 		err = werr

@@ -126,6 +126,11 @@ var countPass = fit.Declare("bayes/counts", func(sh *fit.Shard, a countArg) (exe
 		Alloc: func() *CountPartial {
 			return &CountPartial{Counts: make([]float64, k), Sum: make([]float64, k*d), SumSq: make([]float64, k*d)}
 		},
+		Reset: func(p *CountPartial) {
+			clear(p.Counts)
+			clear(p.Sum)
+			clear(p.SumSq)
+		},
 		Block: exec.EachRow(d, func(p *CountPartial, i int, row []float64) {
 			c := y[i]
 			p.Counts[c]++

@@ -140,6 +140,11 @@ var assignPass = fit.Declare("kmeans/assign", func(sh *fit.Shard, a assignArg) (
 	return exec.Aggregate[*AssignPartial]{
 		Name:  "kmeans assign",
 		Alloc: func() *AssignPartial { return &AssignPartial{Sums: make([]float64, k*d), Counts: make([]int, k)} },
+		Reset: func(p *AssignPartial) {
+			clear(p.Sums)
+			clear(p.Counts)
+			p.Inertia, p.Changed = 0, 0
+		},
 		Block: exec.EachRow(d, func(p *AssignPartial, i int, row []float64) {
 			bestC, best := blas.NearestRow(row, k, d, centroids, d)
 			if assignments[i] != bestC {
@@ -179,6 +184,7 @@ var seedPass = fit.Declare("kmeans/seed", func(sh *fit.Shard, a seedArg) (exec.A
 	return exec.Aggregate[*float64]{
 		Name:  "kmeans++ seed",
 		Alloc: func() *float64 { return new(float64) },
+		Reset: func(mass *float64) { *mass = 0 },
 		Block: exec.EachRow(sh.Cols, func(mass *float64, i int, row []float64) {
 			if d2 := blas.SqDistBounded(row, prev, dist[i]); d2 < dist[i] {
 				dist[i] = d2

@@ -63,13 +63,18 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 		qRows[i] = queries.RawRow(i)
 	}
 	// Per-block bounded max-heaps per query; merged in block order, so
-	// the kept set is the one a single sequential scan would keep.
-	acc, _, err := exec.ReduceRowBlocks(refs.ScanCtx(ctx, opts.Workers).Named("knn neighbors"),
-		func() *heapSet {
-			hs := &heapSet{heaps: make([]nheap, qn)}
-			return hs
+	// the kept set is the one a single sequential scan would keep. A
+	// merged block's heaps are emptied and filled again, so a search
+	// allocates a heap set per scan worker, not per block.
+	acc, _, err := exec.Aggregate[*heapSet]{
+		Name:  "knn neighbors",
+		Alloc: func() *heapSet { return &heapSet{heaps: make([]nheap, qn)} },
+		Reset: func(hs *heapSet) {
+			for qi := range hs.heaps {
+				hs.heaps[qi] = hs.heaps[qi][:0]
+			}
 		},
-		func(hs *heapSet, lo, hi int, block []float64, stride int) {
+		Block: func(hs *heapSet, lo, hi int, block []float64, stride int) {
 			for ri := lo; ri < hi; ri++ {
 				row := block[(ri-lo)*stride : (ri-lo)*stride+d]
 				for qi := range hs.heaps {
@@ -88,7 +93,7 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 				}
 			}
 		},
-		func(dst, src *heapSet) {
+		Merge: func(dst, src *heapSet) {
 			for qi := range dst.heaps {
 				h := &dst.heaps[qi]
 				for _, nb := range src.heaps[qi] {
@@ -99,7 +104,8 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 					}
 				}
 			}
-		})
+		},
+	}.Reduce(refs.ScanCtx(ctx, opts.Workers))
 	if err != nil {
 		return nil, err
 	}

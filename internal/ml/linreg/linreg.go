@@ -167,6 +167,10 @@ var lsqPass = fit.Declare("linreg/lsq", func(sh *fit.Shard, a lsqArg) (exec.Aggr
 	return exec.Aggregate[*LsqPartial]{
 		Name:  "linreg grad",
 		Alloc: func() *LsqPartial { return &LsqPartial{GW: make([]float64, d)} },
+		Reset: func(p *LsqPartial) {
+			p.SSE, p.GB = 0, 0
+			clear(p.GW)
+		},
 		Block: exec.EachRow(d, func(p *LsqPartial, i int, row []float64) {
 			r := blas.Dot(row, w) + b - y[i]
 			p.SSE += r * r
@@ -305,6 +309,10 @@ var gramPass = fit.Declare("linreg/gram", func(sh *fit.Shard, a gramArg) (exec.A
 	agg := exec.Aggregate[*GramPartial]{
 		Name:  "linreg gram",
 		Alloc: func() *GramPartial { return &GramPartial{Gram: make([]float64, p*p), RHS: make([]float64, p)} },
+		Reset: func(g *GramPartial) {
+			clear(g.Gram)
+			clear(g.RHS)
+		},
 		Block: exec.EachRow(d, func(g *GramPartial, i int, row []float64) {
 			for a := 0; a < d; a++ {
 				va := row[a]

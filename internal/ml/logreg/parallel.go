@@ -44,6 +44,10 @@ var gradPass = fit.Declare("logreg/grad", func(sh *fit.Shard, a gradArg) (exec.A
 	return exec.Aggregate[*GradPartial]{
 		Name:  "logreg grad",
 		Alloc: func() *GradPartial { return &GradPartial{Grad: make([]float64, d+1)} },
+		Reset: func(p *GradPartial) {
+			p.Loss = 0
+			clear(p.Grad)
+		},
 		Block: exec.EachRow(d, func(p *GradPartial, i int, row []float64) {
 			z := blas.Dot(row, w) + b
 			prob, l := sigmoidLoss(z, y[i])

@@ -99,6 +99,11 @@ var softmaxPass = fit.Declare("softmax/grad", func(sh *fit.Shard, a softmaxArg) 
 		Alloc: func() *SoftmaxPartial {
 			return &SoftmaxPartial{Grad: make([]float64, dim), scores: make([]float64, k)}
 		},
+		Reset: func(p *SoftmaxPartial) {
+			p.Loss = 0
+			clear(p.Grad)
+			clear(p.scores)
+		},
 		Block: exec.EachRow(d, func(p *SoftmaxPartial, i int, row []float64) {
 			gw := p.Grad[:k*d]
 			// scores_c = w_c · row + b_c

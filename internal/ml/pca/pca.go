@@ -167,6 +167,7 @@ var meanPass = fit.Declare("pca/mean", func(sh *fit.Shard, _ struct{}) (exec.Agg
 	return exec.Aggregate[[]float64]{
 		Name:  "pca mean",
 		Alloc: func() []float64 { return make([]float64, d) },
+		Reset: func(sum []float64) { clear(sum) },
 		Block: func(sum []float64, lo, hi int, block []float64, stride int) {
 			blas.SumRows(hi-lo, d, block, stride, sum)
 		},
@@ -197,6 +198,10 @@ var covPass = fit.Declare("pca/cov", func(sh *fit.Shard, a covArg) (exec.Aggrega
 		Name: "pca cov",
 		Alloc: func() *CovPartial {
 			return &CovPartial{Part: make([]float64, d*d), centered: make([]float64, d)}
+		},
+		Reset: func(st *CovPartial) {
+			clear(st.Part)
+			clear(st.centered)
 		},
 		Block: exec.EachRow(d, func(st *CovPartial, _ int, row []float64) {
 			blas.AddScaled(st.centered, row, -1, mean)

@@ -53,6 +53,11 @@ var momentsPass = fit.Declare("moments", func(sh *fit.Shard, _ struct{}) (exec.A
 	return exec.Aggregate[*Moments]{
 		Name:  "scaler moments",
 		Alloc: func() *Moments { return &Moments{Mean: make([]float64, d), M2: make([]float64, d)} },
+		Reset: func(m *Moments) {
+			m.Count = 0
+			clear(m.Mean)
+			clear(m.M2)
+		},
 		Block: exec.EachRow(d, func(m *Moments, _ int, row []float64) {
 			m.Count++
 			for j, v := range row {
@@ -174,16 +179,21 @@ type Extrema struct {
 // are exactly associative, so any merge order gives the same bits).
 var extremaPass = fit.Declare("extrema", func(sh *fit.Shard, _ struct{}) (exec.Aggregate[*Extrema], error) {
 	d := sh.Cols
+	// An extremum's zero is the opposite infinity, not 0.
+	reset := func(e *Extrema) {
+		for j := range e.Lo {
+			e.Lo[j] = math.Inf(1)
+			e.Hi[j] = math.Inf(-1)
+		}
+	}
 	return exec.Aggregate[*Extrema]{
 		Name: "minmax extrema",
 		Alloc: func() *Extrema {
 			e := &Extrema{Lo: make([]float64, d), Hi: make([]float64, d)}
-			for j := 0; j < d; j++ {
-				e.Lo[j] = math.Inf(1)
-				e.Hi[j] = math.Inf(-1)
-			}
+			reset(e)
 			return e
 		},
+		Reset: reset,
 		Block: exec.EachRow(d, func(e *Extrema, _ int, row []float64) {
 			for j, v := range row {
 				if v < e.Lo[j] {
