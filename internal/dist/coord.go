@@ -79,10 +79,10 @@ type workerConn struct {
 	seq    uint64
 	lo, hi int
 	// mu serializes calls on the connection (the protocol is strictly
-	// request/response) and guards frame, which every request frame is
-	// assembled in.
-	mu    sync.Mutex
-	frame bytes.Buffer
+	// request/response) and guards frame, which every request header is
+	// assembled in, and body, which every reply body is read into.
+	mu          sync.Mutex
+	frame, body bytes.Buffer
 }
 
 // Coordinator drives distributed fits over a set of dialed workers.
@@ -154,8 +154,10 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// call performs one serialized RPC on w and returns the reply body.
-// ctx cancellation pokes the connection deadline so a mid-round cancel
+// call performs one serialized RPC on w and returns the reply body,
+// which is w's buffer: it is valid until the next call on w, so a
+// caller decodes or absorbs it before it calls w again. ctx
+// cancellation pokes the connection deadline so a mid-round cancel
 // unblocks promptly.
 func (c *Coordinator) call(ctx context.Context, w *workerConn, req request) ([]byte, error) {
 	w.mu.Lock()
@@ -182,14 +184,14 @@ func (c *Coordinator) call(ctx context.Context, w *workerConn, req request) ([]b
 			<-poked
 		}
 	}()
-	sent, err := writeFrame(conn, &w.frame, &req)
+	sent, err := writeFrame(conn, &w.frame, &req, req.body)
 	c.bytesSent.Add(int64(sent))
 	bytesSentTotal.With(op).Add(float64(sent))
 	if err != nil {
 		return nil, c.rpcErr(ctx, w, op, err)
 	}
 	var envelope response
-	recvd, err := readFrame(conn, &envelope)
+	recvd, err := readFrame(conn, &envelope, &w.body)
 	c.bytesRecv.Add(int64(recvd))
 	bytesRecvTotal.With(op).Add(float64(recvd))
 	if err != nil {
@@ -201,7 +203,7 @@ func (c *Coordinator) call(ctx context.Context, w *workerConn, req request) ([]b
 	if envelope.Err != "" {
 		return nil, fmt.Errorf("dist: worker %s: %s", w.addr, envelope.Err)
 	}
-	return envelope.Body, nil
+	return w.body.Bytes(), nil
 }
 
 // rpcErr attributes a transport failure: a canceled context wins over
@@ -215,7 +217,8 @@ func (c *Coordinator) rpcErr(ctx context.Context, w *workerConn, op string, err 
 
 // broadcast sends the same request to every active worker in parallel
 // and returns the reply bodies in shard order — one bulk-synchronous
-// round, with its straggler wait accounted.
+// round, with its straggler wait accounted. Each body is valid until
+// the next call on its worker (see call).
 func (c *Coordinator) broadcast(ctx context.Context, req request) ([][]byte, error) {
 	op := req.label()
 	sp := obs.StartSpan("dist", "round "+op)
@@ -261,7 +264,8 @@ func (c *Coordinator) broadcast(ctx context.Context, req request) ([][]byte, err
 // the only place this package meets a data pass, and it meets it as
 // bytes: the argument goes out encoded, and each shard's reply goes —
 // in shard order, which is global row order — to the round's Absorb,
-// which merges that shard's group states in row order.
+// which merges that shard's group states in row order before the next
+// round reuses the reply buffers.
 type source struct{ c *Coordinator }
 
 // Dims implements fit.Source with the global shape (the view's width
@@ -285,7 +289,7 @@ func (s source) Run(ctx context.Context, r fit.Round) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	replies, err := s.c.broadcast(ctx, request{Op: "reduce", Pass: r.Pass, Body: arg})
+	replies, err := s.c.broadcast(ctx, request{Op: "reduce", Pass: r.Pass, body: arg})
 	if err != nil {
 		return 0, err
 	}
@@ -345,7 +349,7 @@ func (c *Coordinator) callOne(ctx context.Context, w *workerConn, op string, req
 	if err != nil {
 		return err
 	}
-	reply, err := c.call(ctx, w, request{Op: op, Body: body})
+	reply, err := c.call(ctx, w, request{Op: op, body: body})
 	if err != nil {
 		return err
 	}
@@ -495,7 +499,7 @@ func (c *Coordinator) fitStage(ctx context.Context, stage Spec) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	replies, err := c.broadcast(ctx, request{Op: "stage", Body: body})
+	replies, err := c.broadcast(ctx, request{Op: "stage", body: body})
 	if err != nil {
 		return nil, err
 	}

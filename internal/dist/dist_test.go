@@ -825,51 +825,115 @@ func TestRoundMetricsKeepPassNames(t *testing.T) {
 // frame there is; if the bytes do not follow, the reader must not have
 // paid for them.
 func TestReadFrameTruncatedHeaderIsCheap(t *testing.T) {
-	var hdr [4]byte
+	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var req request
-	n, err := readFrame(bytes.NewReader(hdr[:]), &req)
+	n, err := readFrame(bytes.NewReader(hdr[:]), &req, new(bytes.Buffer))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a 1 GiB frame with no body decoded without error")
 	}
-	if n != 4 {
-		t.Errorf("consumed %d bytes, want the 4 of the header", n)
+	if n != 8 {
+		t.Errorf("consumed %d bytes, want the 8 of the lengths", n)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Errorf("reading a truncated frame allocated %d bytes, want < 1 MiB", grew)
 	}
 
 	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes+1)
-	if _, err := readFrame(bytes.NewReader(hdr[:]), &req); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), &req, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("over-limit frame: err = %v, want the hard cap", err)
+	}
+}
+
+// frameBytes returns hdr and body as one encoded frame.
+func frameBytes(tb testing.TB, hdr any, body []byte) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	if _, err := writeFrame(&out, new(bytes.Buffer), hdr, body); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestReadFrameLyingBodyIsCheap: a well-formed header whose body claims
+// 1 GiB and then ends costs the reader what arrived, not what was
+// claimed, and is an error; so is a body length over the cap.
+func TestReadFrameLyingBodyIsCheap(t *testing.T) {
+	frame := frameBytes(t, &response{Seq: 1}, nil)
+	binary.BigEndian.PutUint32(frame[4:], maxFrameBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var resp response
+	n, err := readFrame(bytes.NewReader(append(frame, 1, 2, 3)), &resp, new(bytes.Buffer))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a 1 GiB body claim followed by 3 bytes: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n != len(frame)+3 {
+		t.Errorf("consumed %d bytes, want the %d that arrived", n, len(frame)+3)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("reading a lying body allocated %d bytes, want < 1 MiB", grew)
+	}
+
+	binary.BigEndian.PutUint32(frame[4:], maxFrameBytes+1)
+	if _, err := readFrame(bytes.NewReader(frame), &resp, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("over-limit body: err = %v, want the hard cap", err)
+	}
+}
+
+// TestErrorReplyHasNoBody: a worker's error reply is a header alone; a
+// response frame that carries an error and a body is rejected, and the
+// stream stays aligned on the frame after it.
+func TestErrorReplyHasNoBody(t *testing.T) {
+	stream := append(frameBytes(t, &response{Seq: 3, Err: "boom"}, []byte{1, 2, 3}),
+		frameBytes(t, &response{Seq: 4}, []byte{4, 5})...)
+	r := bytes.NewReader(stream)
+	var resp response
+	var body bytes.Buffer
+	if _, err := readFrame(r, &resp, &body); err == nil || !strings.Contains(err.Error(), "error reply") {
+		t.Fatalf("error reply with a body: err = %v, want it rejected", err)
+	}
+	resp = response{}
+	if _, err := readFrame(r, &resp, &body); err != nil || resp.Seq != 4 || !bytes.Equal(body.Bytes(), []byte{4, 5}) {
+		t.Fatalf("next frame: %+v body %v err %v, want seq 4 body [4 5]", resp, body.Bytes(), err)
 	}
 }
 
 // FuzzReadFrame: no byte stream may panic the frame reader, make it
 // consume more than it was given, or leave it misaligned — a second
-// frame appended after a well-formed first must still decode.
+// frame appended after a well-formed first must still decode. Read as
+// a response, no stream yields an error reply that carries a body.
 func FuzzReadFrame(f *testing.F) {
-	var good bytes.Buffer
-	if _, err := writeFrame(&good, new(bytes.Buffer), &request{Seq: 7, Op: "reduce", Pass: "logreg/grad", Body: []byte{1, 2, 3}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add(good.Bytes()[:len(good.Bytes())/2])              // truncated body
-	f.Add([]byte{0x40, 0, 0, 0, 0x05})                     // claims 1 GiB, delivers a byte
-	f.Add([]byte{0, 0, 0, 3, 0xff, 0xff, 0xff})            // not gob
-	f.Add(append([]byte{0, 0, 0, 0}, good.Bytes()...))     // empty frame first
-	f.Add(append(good.Bytes()[:4:4], 0x7f, 0xff, 0xff, 1)) // right length, wrong bytes
+	good := frameBytes(f, &request{Seq: 7, Op: "reduce", Pass: "logreg/grad"}, []byte{1, 2, 3})
+	lying := frameBytes(f, &request{Seq: 8, Op: "reduce", Pass: "kmeans/assign"}, nil)
+	binary.BigEndian.PutUint32(lying[4:], 1<<30)
+	f.Add(good)
+	f.Add(good[:len(good)/2])                               // truncated header
+	f.Add([]byte{0x40, 0, 0, 0, 0, 0, 0, 0, 0x05})          // claims a 1 GiB header, delivers a byte
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 0, 0xff, 0xff, 0xff}) // not gob
+	f.Add(append(make([]byte, 8), good...))                 // empty frame first
+	f.Add(append(good[:8:8], 0x7f, 0xff, 0xff, 1))          // right lengths, wrong bytes
+	f.Add(good[:len(good)-2])                               // truncated body
+	f.Add(append(lying, 1, 2, 3))                           // claims a 1 GiB body, delivers 3 bytes
+	f.Add(frameBytes(f, &response{Seq: 7, Err: "boom"}, []byte{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(append(append([]byte(nil), data...), good.Bytes()...))
-		var req request
-		n, err := readFrame(r, &req)
-		if n < 0 || n > len(data)+good.Len() {
-			t.Fatalf("consumed %d of %d bytes", n, len(data)+good.Len())
+		var resp response
+		var body bytes.Buffer
+		if _, err := readFrame(bytes.NewReader(data), &resp, &body); err == nil && resp.Err != "" && body.Len() > 0 {
+			t.Fatalf("an error reply %q carried a %d-byte body", resp.Err, body.Len())
 		}
-		if consumed := len(data) + good.Len() - r.Len(); consumed != n {
+
+		r := bytes.NewReader(append(append([]byte(nil), data...), good...))
+		var req request
+		n, err := readFrame(r, &req, &body)
+		if n < 0 || n > len(data)+len(good) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data)+len(good))
+		}
+		if consumed := len(data) + len(good) - r.Len(); consumed != n {
 			t.Fatalf("reported %d bytes consumed, reader advanced %d", n, consumed)
 		}
 		if err != nil || n != len(data) {
@@ -877,13 +941,13 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// data was exactly one well-formed frame: the next must follow.
 		var next request
-		if _, err := readFrame(r, &next); err != nil {
+		if _, err := readFrame(r, &next, &body); err != nil {
 			t.Fatalf("frame after a well-formed frame: %v", err)
 		}
-		if next.Seq != 7 || next.Pass != "logreg/grad" {
-			t.Fatalf("frame after a well-formed frame decoded as %+v", next)
+		if next.Seq != 7 || next.Pass != "logreg/grad" || !bytes.Equal(body.Bytes(), []byte{1, 2, 3}) {
+			t.Fatalf("frame after a well-formed frame decoded as %+v, body %v", next, body.Bytes())
 		}
-		if _, err := readFrame(r, &next); err != io.EOF {
+		if _, err := readFrame(r, &next, &body); err != io.EOF {
 			t.Fatalf("end of stream: err = %v, want io.EOF", err)
 		}
 	})

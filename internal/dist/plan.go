@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"m3/internal/exec"
-	"m3/internal/perfmodel"
 )
 
 // Range is one worker's contiguous row shard [Lo, Hi).
@@ -49,31 +48,4 @@ func PlanShards(n, k int) ([]Range, error) {
 		start = end
 	}
 	return shards, nil
-}
-
-// RecommendShards picks a shard count for a dataset of sizeBytes
-// using a fitted two-segment scan-cost model (internal/perfmodel) and
-// a per-node memory budget: enough shards that every shard drops into
-// the model's in-RAM regime (below the knee), clamped to [1, max].
-// With no knee — the model never left RAM — one shard suffices and
-// the network tax is pure overhead.
-func RecommendShards(sizeBytes int64, m *perfmodel.Model, nodeBudget int64, max int) int {
-	if max < 1 {
-		max = 1
-	}
-	target := nodeBudget
-	if m != nil && m.KneeBytes > 0 && (target <= 0 || int64(m.KneeBytes) < target) {
-		target = int64(m.KneeBytes)
-	}
-	if target <= 0 || sizeBytes <= target {
-		return 1
-	}
-	k := int((sizeBytes + target - 1) / target)
-	if k > max {
-		k = max
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
 }

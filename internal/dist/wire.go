@@ -29,10 +29,13 @@
 // reset, stage, materialize), fetch one row (row), and the two
 // strictly sequential steps of k-means that are not reductions
 // (kmeans/sample, kmeans/gather). The transport is deliberately
-// small: length-prefixed gob frames over TCP, one connection per
-// worker, strictly serial request/response per connection, per-call
-// deadlines, and retry-with-backoff on transient dial errors. No
-// third-party dependencies.
+// small: frames over TCP, each a gob header (sequence number, op, error)
+// and a raw body, one connection per worker, strictly serial
+// request/response per connection, per-call deadlines, and
+// retry-with-backoff on transient dial errors. A reduce reply's body is
+// the pass's own flat encoding of its group states (internal/fit), so
+// the floats of a round cross the wire as their bytes; every other body
+// is a gob-encoded payload. No third-party dependencies.
 package dist
 
 import (
@@ -48,19 +51,19 @@ import (
 	"time"
 )
 
-// maxFrameBytes bounds a single wire frame; anything larger is a
-// protocol error, not a legitimate payload.
+// maxFrameBytes bounds each part of a wire frame, header and body;
+// anything larger is a protocol error, not a legitimate payload.
 const maxFrameBytes = 1 << 30
 
-// request is the coordinator→worker envelope. Body is the
-// gob-encoded op payload, nested so the frame layer never needs to
-// know the payload's Go type and byte accounting is exact. For the
-// reduce op, Pass names the declared pass and Body is its argument.
+// request is the coordinator→worker frame header. For the reduce op,
+// Pass names the declared pass. body is the frame's raw body — the
+// op's gob-encoded payload, for a reduce the pass's argument — and is
+// not a gob field: the frame layer sends it after the header as it is.
 type request struct {
 	Seq  uint64
 	Op   string
 	Pass string
-	Body []byte
+	body []byte
 }
 
 // label is the request's name in metrics and spans: the pass for a
@@ -73,15 +76,15 @@ func (r *request) label() string {
 	return r.Op
 }
 
-// response is the worker→coordinator envelope. A non-empty Err
-// carries the worker-side error; Body is then empty.
+// response is the worker→coordinator frame header. A non-empty Err
+// carries the worker-side error, and the frame's body is then empty;
+// otherwise the body is the reply.
 type response struct {
-	Seq  uint64
-	Err  string
-	Body []byte
+	Seq uint64
+	Err string
 }
 
-// encodeBody gobs an op payload into envelope bytes.
+// encodeBody gobs an op payload into body bytes.
 func encodeBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -90,7 +93,7 @@ func encodeBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBody ungobs envelope bytes into an op payload.
+// decodeBody ungobs body bytes into an op payload.
 func decodeBody(b []byte, v any) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
 		return fmt.Errorf("dist: decode %T: %w", v, err)
@@ -98,52 +101,79 @@ func decodeBody(b []byte, v any) error {
 	return nil
 }
 
-// writeFrame writes one length-prefixed gob frame. The frame is
-// assembled in buf — the connection's, reused from frame to frame, so
-// a round of megabyte replies does not regrow one from nothing — and
-// goes out in a single Write.
-func writeFrame(w io.Writer, buf *bytes.Buffer, v any) (int, error) {
+// A frame is
+//
+//	u32 header length, u32 body length (big-endian), gob header, raw body
+//
+// The header is a request or a response; the body is bytes the frame
+// layer never interprets.
+
+// writeFrame writes one frame. The lengths and the header are assembled
+// in buf — the connection's, reused from frame to frame — and go out
+// with the body in one vectored write, so the body is never copied.
+func writeFrame(w io.Writer, buf *bytes.Buffer, hdr any, body []byte) (int, error) {
 	buf.Reset()
-	var hdr [4]byte
-	buf.Write(hdr[:])
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	var lens [8]byte
+	buf.Write(lens[:])
+	if err := gob.NewEncoder(buf).Encode(hdr); err != nil {
 		return 0, fmt.Errorf("dist: encode frame: %w", err)
 	}
-	n := buf.Len() - len(hdr)
-	if n > maxFrameBytes {
-		return 0, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
+	n := buf.Len() - len(lens)
+	if n > maxFrameBytes || len(body) > maxFrameBytes {
+		return 0, fmt.Errorf("dist: frame of %d + %d bytes exceeds limit", n, len(body))
 	}
 	binary.BigEndian.PutUint32(buf.Bytes(), uint32(n))
-	return w.Write(buf.Bytes())
+	binary.BigEndian.PutUint32(buf.Bytes()[4:], uint32(len(body)))
+	frame := net.Buffers{buf.Bytes(), body}
+	sent, err := frame.WriteTo(w)
+	return int(sent), err
 }
 
-// readFrame reads one length-prefixed gob frame into v, returning the
-// bytes consumed. The value is decoded straight off the stream, capped
-// at the frame: the length a peer claims bounds what is read, never
-// what is allocated — buffers grow as gob receives the bytes — and the
-// frame is drained whatever the decoder made of it, so the stream
-// stays aligned.
-func readFrame(r io.Reader, v any) (int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+// readFrame reads one frame: the header decoded into hdr, the body into
+// body (reset first; its bytes are the caller's until the next frame it
+// is read into). It returns the bytes consumed. The header is decoded
+// straight off the stream, capped at its length, and the body read as
+// it arrives: the lengths a peer claims bound what is read, never what
+// is allocated. Whatever the decoder made of the header, the frame is
+// consumed whole, so the stream stays aligned. A response that carries
+// an error and a body is malformed.
+func readFrame(r io.Reader, hdr any, body *bytes.Buffer) (int, error) {
+	var lens [8]byte
+	if n, err := io.ReadFull(r, lens[:]); err != nil {
+		return n, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return 4, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
+	hn, bn := binary.BigEndian.Uint32(lens[:4]), binary.BigEndian.Uint32(lens[4:])
+	if hn > maxFrameBytes || bn > maxFrameBytes {
+		return len(lens), fmt.Errorf("dist: frame of %d + %d bytes exceeds limit", hn, bn)
 	}
-	frame := &io.LimitedReader{R: r, N: int64(n)}
-	err := gob.NewDecoder(frame).Decode(v)
+	head := &io.LimitedReader{R: r, N: int64(hn)}
+	err := gob.NewDecoder(head).Decode(hdr)
 	if err != nil {
 		err = fmt.Errorf("dist: decode frame: %w", err)
 	}
-	if _, drainErr := io.Copy(io.Discard, frame); err == nil {
+	if _, drainErr := io.Copy(io.Discard, head); err == nil {
 		err = drainErr
 	}
-	if err == nil && frame.N > 0 {
+	n := len(lens) + int(hn) - int(head.N)
+	if head.N > 0 {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return n, err
+	}
+	body.Reset()
+	got, bodyErr := body.ReadFrom(io.LimitReader(r, int64(bn)))
+	n += int(got)
+	if err == nil {
+		err = bodyErr
+	}
+	if err == nil && got < int64(bn) {
 		err = io.ErrUnexpectedEOF
 	}
-	return 4 + int(n) - int(frame.N), err
+	if resp, ok := hdr.(*response); ok && err == nil && resp.Err != "" && bn > 0 {
+		err = fmt.Errorf("dist: an error reply with a %d-byte body", bn)
+	}
+	return n, err
 }
 
 // dialRetry dials addr, retrying transient failures (refused

@@ -127,14 +127,17 @@ func (w *Worker) handleConn(conn net.Conn) {
 	defer s.close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var frame bytes.Buffer // every response frame of this connection
+	// Every response header of this connection is assembled in frame,
+	// and every request body read into body.
+	var frame, body bytes.Buffer
 	for {
 		var req request
-		if _, err := readFrame(conn, &req); err != nil {
+		if _, err := readFrame(conn, &req, &body); err != nil {
 			return // EOF or dropped coordinator: tear down the session
 		}
+		req.body = body.Bytes()
 		workerOpsTotal.With(req.label()).Inc()
-		body, err := func() (b []byte, err error) {
+		reply, err := func() (b []byte, err error) {
 			sp := obs.StartSpan("dist", "worker "+req.label())
 			defer sp.End()
 			defer func() {
@@ -144,11 +147,11 @@ func (w *Worker) handleConn(conn net.Conn) {
 			}()
 			return s.handle(ctx, &req)
 		}()
-		resp := response{Seq: req.Seq, Body: body}
+		resp := response{Seq: req.Seq}
 		if err != nil {
-			resp = response{Seq: req.Seq, Err: err.Error()}
+			resp.Err, reply = err.Error(), nil
 		}
-		if _, err := writeFrame(conn, &frame, &resp); err != nil {
+		if _, err := writeFrame(conn, &frame, &resp, reply); err != nil {
 			return
 		}
 	}
@@ -179,7 +182,7 @@ type session struct {
 
 	// reply holds the encoded group states of the reduce being
 	// answered; its bytes are the response body until the next request.
-	reply bytes.Buffer
+	reply []byte
 }
 
 // close releases everything the session holds.
@@ -217,13 +220,13 @@ func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
 	switch req.Op {
 	case "stat":
 		var r statReq
-		if err := decodeBody(req.Body, &r); err != nil {
+		if err := decodeBody(req.body, &r); err != nil {
 			return nil, err
 		}
 		return s.stat(r)
 	case "open":
 		var r openReq
-		if err := decodeBody(req.Body, &r); err != nil {
+		if err := decodeBody(req.body, &r); err != nil {
 			return nil, err
 		}
 		return s.open(r)
@@ -237,7 +240,7 @@ func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
 		return nil, nil
 	case "stage":
 		var r stageReq
-		if err := decodeBody(req.Body, &r); err != nil {
+		if err := decodeBody(req.body, &r); err != nil {
 			return nil, err
 		}
 		return s.pushStage(r)
@@ -246,14 +249,14 @@ func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
 	case "reduce":
 		scan := s.view.ScanCtx(ctx, s.cfg.Workers)
 		scan.GroupRows = s.groupRows
-		s.reply.Reset()
-		if err := fit.Serve(req.Pass, s.shard, scan, req.Body, &s.reply); err != nil {
+		var err error
+		if s.reply, err = fit.Serve(req.Pass, s.shard, scan, req.body, s.reply[:0]); err != nil {
 			return nil, fmt.Errorf("shard [%d, %d): %w", s.lo, s.hi, err)
 		}
-		return s.reply.Bytes(), nil
+		return s.reply, nil
 	case "kmeans/sample":
 		var r sampleReq
-		if err := decodeBody(req.Body, &r); err != nil {
+		if err := decodeBody(req.body, &r); err != nil {
 			return nil, err
 		}
 		sc, ok := s.shard.Scratch.(*kmeans.Scratch)
@@ -270,7 +273,7 @@ func (s *session) handle(ctx context.Context, req *request) ([]byte, error) {
 		return encodeBody(&gatherResp{Assignments: sc.Assignments})
 	case "row":
 		var r rowReq
-		if err := decodeBody(req.Body, &r); err != nil {
+		if err := decodeBody(req.body, &r); err != nil {
 			return nil, err
 		}
 		if r.I < 0 || r.I >= s.view.Rows() {

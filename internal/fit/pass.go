@@ -13,8 +13,12 @@ package fit
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"reflect"
+	"unsafe"
 
 	"m3/internal/exec"
 	"m3/internal/mat"
@@ -30,17 +34,22 @@ type Pass[A, T any] struct {
 	// and arg, which is what lets a coordinator build it against a
 	// shard with no rows.
 	New func(sh *Shard, arg A) (exec.Aggregate[T], error)
+
+	// codec is T's, compiled by Declare (nil for a Pass built by hand).
+	codec *stateCodec
 }
 
 // declared is one registered pass.
 type declared struct {
 	// serve is the worker half: fold the shard's scan to merge-group
 	// states and append their encoding to reply.
-	serve func(sh *Shard, s exec.RowScan, arg []byte, reply *bytes.Buffer) error
+	serve func(sh *Shard, s exec.RowScan, arg, reply []byte) ([]byte, error)
 	// aggregate builds the pass's exec.Aggregate[T] (boxed) at an
-	// encoded argument — what the tests that hold every declared pass
-	// to the Reset contract walk.
+	// encoded argument, and absorb merges one reply into a new root
+	// (returned boxed): what the tests that hold every declared pass to
+	// the Reset contract and to the wire walk.
 	aggregate func(sh *Shard, arg []byte) (any, error)
+	absorb    func(sh *Shard, arg, reply []byte) (any, float64, error)
 }
 
 // passes maps names to declared passes. Filled by Declare from
@@ -48,11 +57,15 @@ type declared struct {
 var passes = map[string]declared{}
 
 // Declare names a pass and registers its worker half. Call it from a
-// package-level var initializer; a duplicate name panics.
+// package-level var initializer. A duplicate name panics, and so does a
+// state the wire cannot carry: one whose exported fields (or itself,
+// when it is not a struct or a pointer to one) are anything but
+// float64, int, []float64 and []int.
 func Declare[A, T any](name string, build func(sh *Shard, arg A) (exec.Aggregate[T], error)) Pass[A, T] {
 	if _, dup := passes[name]; dup {
 		panic("fit: pass " + name + " declared twice")
 	}
+	codec := compileCodec(name, reflect.TypeFor[T]())
 	at := func(sh *Shard, argBytes []byte) (exec.Aggregate[T], error) {
 		var arg A
 		if err := gob.NewDecoder(bytes.NewReader(argBytes)).Decode(&arg); err != nil {
@@ -60,84 +73,81 @@ func Declare[A, T any](name string, build func(sh *Shard, arg A) (exec.Aggregate
 		}
 		return build(sh, arg)
 	}
-	serve := func(sh *Shard, s exec.RowScan, argBytes []byte, reply *bytes.Buffer) error {
+	serve := func(sh *Shard, s exec.RowScan, argBytes, reply []byte) ([]byte, error) {
 		agg, err := at(sh, argBytes)
 		if err != nil {
-			return err
+			return reply, err
 		}
 		// Each group is encoded as the scan emits it, so the worker
 		// holds one group state, not one per group.
-		enc := gob.NewEncoder(reply)
-		encErr := enc.Encode(replyHeader{Groups: s.NumGroups()})
-		var g exec.GroupPartial[T]
+		reply = binary.LittleEndian.AppendUint64(reply, uint64(s.NumGroups()))
 		stall, err := agg.EachGroup(s, func(lo, hi int, state T) {
-			if encErr == nil {
-				g = exec.GroupPartial[T]{Lo: lo, Hi: hi, State: state}
-				encErr = enc.Encode(&g)
-			}
+			reply = binary.LittleEndian.AppendUint64(reply, uint64(lo))
+			reply = binary.LittleEndian.AppendUint64(reply, uint64(hi))
+			reply = codec.encode(reply, unsafe.Pointer(&state))
 		})
 		if err != nil {
-			return err
+			return reply, err
 		}
-		if encErr == nil {
-			encErr = enc.Encode(replyTrailer{Stall: stall})
-		}
-		if encErr != nil {
-			return fmt.Errorf("fit: encode %s groups: %w", name, encErr)
-		}
-		return nil
+		return binary.LittleEndian.AppendUint64(reply, math.Float64bits(stall)), nil
 	}
 	passes[name] = declared{
 		serve:     serve,
 		aggregate: func(sh *Shard, argBytes []byte) (any, error) { return at(sh, argBytes) },
+		absorb: func(sh *Shard, argBytes, reply []byte) (any, float64, error) {
+			agg, err := at(sh, argBytes)
+			if err != nil {
+				return nil, 0, err
+			}
+			root := agg.Alloc()
+			stall, err := absorb(agg, codec, root, agg.OneAtATime(), reply)
+			return root, stall, err
+		},
 	}
-	return Pass[A, T]{Name: name, New: build}
+	return Pass[A, T]{Name: name, New: build, codec: codec}
 }
 
-// Serve runs the named pass over one shard's scan and appends its
-// encoded merge-group states to reply — the worker half of a remote
-// Reduce. The scan must carry the global group height
-// (RowScan.GroupRows). After an error reply holds a partial encoding
-// and must be discarded.
-func Serve(pass string, sh *Shard, s exec.RowScan, arg []byte, reply *bytes.Buffer) error {
+// Serve runs the named pass over one shard's scan, appends its encoded
+// merge-group states to reply and returns the extended buffer — the
+// worker half of a remote Reduce. The scan must carry the global group
+// height (RowScan.GroupRows). After an error the buffer holds a partial
+// encoding and must be discarded.
+func Serve(pass string, sh *Shard, s exec.RowScan, arg, reply []byte) ([]byte, error) {
 	p, ok := passes[pass]
 	if !ok {
-		return fmt.Errorf("fit: unknown pass %q", pass)
+		return reply, fmt.Errorf("fit: unknown pass %q", pass)
 	}
 	return p.serve(sh, s, arg, reply)
 }
 
-// A worker's reply is one gob stream: a replyHeader, then Groups
-// exec.GroupPartial values in ascending row order, then a
-// replyTrailer. The stall closes the reply because the groups are
-// encoded while the scan that accumulates it is still running.
-type replyHeader struct{ Groups int }
-
-type replyTrailer struct{ Stall float64 }
-
-// absorb merges one worker's reply into root, group by group. Each
-// group decodes into a zero state (fresh's) rather than a nil one: gob
-// omits zero-valued fields, so a group whose state is all zero would
-// otherwise arrive as no state at all.
-func absorb[T any](agg exec.Aggregate[T], root T, fresh func() T, reply []byte) (float64, error) {
-	dec := gob.NewDecoder(bytes.NewReader(reply))
-	var h replyHeader
-	if err := dec.Decode(&h); err != nil {
-		return 0, fmt.Errorf("fit: decode %s reply: %w", agg.Name, err)
+// absorb merges one worker's reply into root, group by group, each
+// decoded into a state from fresh. It reads the reply in place: a group
+// costs no allocation beyond what fresh makes, and no length the reply
+// claims is allocated.
+func absorb[T any](agg exec.Aggregate[T], codec *stateCodec, root T, fresh func() T, reply []byte) (float64, error) {
+	if len(reply) < 8 {
+		return 0, codec.truncated()
 	}
-	var g exec.GroupPartial[T]
-	for i := 0; i < h.Groups; i++ {
-		g = exec.GroupPartial[T]{State: fresh()}
-		if err := dec.Decode(&g); err != nil {
-			return 0, fmt.Errorf("fit: decode %s group %d of %d: %w", agg.Name, i, h.Groups, err)
+	groups, b := binary.LittleEndian.Uint64(reply), reply[8:]
+	for i := uint64(0); i < groups; i++ {
+		if len(b) < 16 {
+			return 0, codec.truncated()
 		}
-		agg.Merge(root, g.State)
+		b = b[16:] // lo, hi: the groups arrive in row order
+		state := fresh()
+		var err error
+		if b, err = codec.decode(b, unsafe.Pointer(&state)); err != nil {
+			return 0, fmt.Errorf("fit: decode %s group %d of %d: %w", codec.pass, i, groups, err)
+		}
+		agg.Merge(root, state)
 	}
-	var t replyTrailer
-	if err := dec.Decode(&t); err != nil {
-		return 0, fmt.Errorf("fit: decode %s reply trailer: %w", agg.Name, err)
+	switch {
+	case len(b) < 8:
+		return 0, codec.truncated()
+	case len(b) > 8:
+		return 0, fmt.Errorf("fit: decode %s reply: %d bytes after the trailer", codec.pass, len(b)-8)
 	}
-	return t.Stall, nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
 // Round is one pass at one argument in the form a Source can run
@@ -178,6 +188,10 @@ func Reduce[A, T any](ctx context.Context, src Source, p Pass[A, T], arg A) (T, 
 	// reset between groups — or, for a state with no Reset, into a new
 	// one each.
 	fresh := agg.OneAtATime()
+	codec := p.codec
+	if codec == nil {
+		codec = compileCodec(p.Name, reflect.TypeFor[T]())
+	}
 	merging := false
 	stall, err := src.Run(ctx, Round{
 		Pass: p.Name,
@@ -190,7 +204,7 @@ func Reduce[A, T any](ctx context.Context, src Source, p Pass[A, T], arg A) (T, 
 			if !merging {
 				root, merging = agg.Alloc(), true
 			}
-			return absorb(agg, root, fresh, reply)
+			return absorb(agg, codec, root, fresh, reply)
 		},
 	})
 	return root, stall, err
