@@ -100,13 +100,9 @@ type LogisticRegression struct {
 
 // Fit implements Estimator.
 func (e LogisticRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y := ds.Labels
-	if e.Binarize {
-		y = ds.BinaryLabels(e.Positive)
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := logreg.Train(ctx, ds.X, y, opts)
+	m, err := logreg.TrainOn(ctx, ds.Source(opts.Workers), e.Binarize, e.Positive, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -143,13 +139,9 @@ type SoftmaxRegression struct {
 
 // Fit implements Estimator.
 func (e SoftmaxRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y, err := ds.IntLabels(e.Classes)
-	if err != nil {
-		return nil, err
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := logreg.TrainSoftmax(ctx, ds.X, y, e.Classes, opts)
+	m, err := logreg.TrainSoftmaxOn(ctx, ds.Source(opts.Workers), e.Classes, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +196,9 @@ func (e LinearRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 		err error
 	)
 	if e.Exact {
-		m, err = linreg.TrainExact(ctx, ds.X, ds.Labels, opts)
+		m, err = linreg.TrainExactOn(ctx, ds.Source(opts.Workers), opts)
 	} else {
-		m, err = linreg.Train(ctx, ds.X, ds.Labels, opts)
+		m, err = linreg.TrainOn(ctx, ds.Source(opts.Workers), opts)
 	}
 	if err != nil {
 		return nil, err
@@ -243,7 +235,7 @@ type KMeansClustering struct {
 func (e KMeansClustering) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	res, err := kmeans.Run(ctx, ds.X, opts)
+	res, err := kmeans.RunOn(ctx, ds.Source(opts.Workers), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +251,9 @@ type MiniBatchClustering struct {
 
 // Fit implements Estimator; labels are ignored.
 func (e MiniBatchClustering) Fit(ctx context.Context, ds *Dataset) (Model, error) {
+	if err := ds.InProcess("MiniBatchClustering", "each mini-batch update depends on the one before it, over rows sampled from the whole dataset"); err != nil {
+		return nil, err
+	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
 	res, err := kmeans.MiniBatch(ctx, ds.X, opts)
@@ -308,6 +303,9 @@ type KNNClassifier struct {
 // Fit implements Estimator.
 func (e KNNClassifier) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	if err := fit.Canceled(ctx); err != nil {
+		return nil, err
+	}
+	if err := ds.InProcess("KNNClassifier", "a k-NN model is its training matrix"); err != nil {
 		return nil, err
 	}
 	if e.K < 1 || e.K > ds.X.Rows() {
@@ -387,6 +385,9 @@ type SGDClassifier struct {
 
 // Fit implements Estimator.
 func (e SGDClassifier) Fit(ctx context.Context, ds *Dataset) (Model, error) {
+	if err := ds.InProcess("SGDClassifier", "SGD is a sequential single-pass trainer, whose updates depend on row order across the whole dataset and cannot be sharded"); err != nil {
+		return nil, err
+	}
 	y := ds.Labels
 	if e.Binarize {
 		y = ds.BinaryLabels(e.Positive)
@@ -418,13 +419,9 @@ func (NaiveBayes) streamingFit() bool { return true }
 
 // Fit implements Estimator.
 func (e NaiveBayes) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y, err := ds.IntLabels(e.Classes)
-	if err != nil {
-		return nil, err
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := bayes.Train(ctx, ds.X, y, e.Classes, opts)
+	m, err := bayes.TrainOn(ctx, ds.Source(opts.Workers), e.Classes, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +466,7 @@ func (PrincipalComponents) streamingFit() bool { return true }
 func (e PrincipalComponents) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	res, err := pca.Fit(ctx, ds.X, opts)
+	res, err := pca.FitOn(ctx, ds.Source(opts.Workers), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,12 @@ import (
 // labels, and the execution context the owning engine established
 // (worker pool, storage backend). Engine.Fit builds one from a Table;
 // engine-less callers (plain heap matrices) can construct it directly
-// or through the root package's Fit helper.
+// or through the root package's Fit helper. A cluster builds one whose
+// rows live in its workers (RemoteDataset); estimators reach the rows
+// of either kind through Source.
 type Dataset struct {
 	// X is the feature matrix (heap- or mmap-backed; estimators
-	// cannot tell the difference).
+	// cannot tell the difference). X is nil when the rows are remote.
 	X *mat.Dense
 	// Labels is the raw label vector from the dataset file (nil when
 	// the data is unlabelled). Use BinaryLabels / IntLabels for typed
@@ -45,6 +47,46 @@ type Dataset struct {
 	// (nil for opened tables and caller-built datasets); Release frees
 	// it early.
 	scratch *ScratchMatrix
+	// remote holds the rows when they live in other processes (nil
+	// for rows in this one).
+	remote Remote
+}
+
+// Remote is rows held by other processes, as a fit sees them: a
+// fit.Source whose rounds those processes answer, whose holders can
+// extend their views with a fitted stage and cache what they see.
+type Remote interface {
+	fit.Source
+	// Fuse has every holder extend its view with a fitted stage; stage
+	// is the value modelio persists for it.
+	Fuse(ctx context.Context, stage any) error
+	// Materialize has every holder cache its view.
+	Materialize(ctx context.Context) error
+}
+
+// RemoteDataset returns a dataset whose rows are r's; its X is nil. It
+// is linear: fusing a stage onto it or materializing it changes what
+// every holder's view is, so the dataset that returns replaces it.
+func RemoteDataset(r Remote) *Dataset { return &Dataset{remote: r} }
+
+// Source returns where the rows are, for a trainer's driver: the
+// remote rows themselves, or X and Labels scanned in process by
+// workers (<= 0: X's engine hint, then NumCPU).
+func (ds *Dataset) Source(workers int) fit.Source {
+	if ds.remote != nil {
+		return ds.remote
+	}
+	return fit.NewLocal(ds.X, ds.Labels, workers)
+}
+
+// InProcess returns nil when the rows are in this process, and
+// otherwise the error that refuses who, a caller that needs them here,
+// for the stated reason.
+func (ds *Dataset) InProcess(who, why string) error {
+	if ds.remote == nil {
+		return nil
+	}
+	return fmt.Errorf("core: %s cannot train on rows sharded across a cluster: %s; train it locally instead", who, why)
 }
 
 // BinaryLabels returns a 0/1 view of the labels: entries equal to

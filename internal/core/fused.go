@@ -92,8 +92,16 @@ func FusedDataset(ds *Dataset, chain []BlockTransformer) (*Dataset, error) {
 // performs for multi-epoch trainers: the cache is built by streaming
 // the source through the whole fused chain once. For an already
 // concrete dataset it is a plain copy. workers <= 0 inherits the
-// dataset's engine setting.
+// dataset's engine setting. A remote dataset is cached by its holders
+// and returned: its Release has nothing to free, because a holder
+// drops its cache when its view is next reset.
 func Materialize(ctx context.Context, ds *Dataset, workers int) (*Dataset, error) {
+	if ds != nil && ds.remote != nil {
+		if err := ds.remote.Materialize(ctx); err != nil {
+			return nil, err
+		}
+		return ds, nil
+	}
 	if ds == nil || ds.X == nil {
 		return nil, errors.New("core: nil dataset")
 	}

@@ -10,16 +10,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"m3/internal/core"
 	"m3/internal/exec"
 	"m3/internal/fit"
-	"m3/internal/mat"
-	"m3/internal/ml/bayes"
 	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
 	"m3/internal/ml/modelio"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
 	"m3/internal/obs"
 )
 
@@ -86,7 +81,7 @@ type workerConn struct {
 }
 
 // Coordinator drives distributed fits over a set of dialed workers.
-// It is not safe for concurrent Fit calls.
+// It is not safe for concurrent use: one fit at a time.
 type Coordinator struct {
 	opts    Options
 	workers []*workerConn
@@ -94,12 +89,8 @@ type Coordinator struct {
 	// ascending shard order — the merge order.
 	active []*workerConn
 
-	path       string
 	rows, cols int
 	hasLabels  bool
-	groupRows  int
-	// curCols tracks the view width through pipeline stages.
-	curCols int
 
 	rounds, bytesSent, bytesRecv atomic.Int64
 	stragglerNanos               atomic.Int64
@@ -259,55 +250,10 @@ func (c *Coordinator) broadcast(ctx context.Context, req request) ([][]byte, err
 	return out, nil
 }
 
-// source is the open, sharded dataset as the trainers' drivers see it:
-// a fit.Source whose every pass is one broadcast "reduce" round. It is
-// the only place this package meets a data pass, and it meets it as
-// bytes: the argument goes out encoded, and each shard's reply goes —
-// in shard order, which is global row order — to the round's Absorb,
-// which merges that shard's group states in row order before the next
-// round reuses the reply buffers.
-type source struct{ c *Coordinator }
-
-// Dims implements fit.Source with the global shape (the view's width
-// once pipeline stages are pushed).
-func (s source) Dims() (int, int) { return s.c.rows, s.c.curCols }
-
-// Shard implements fit.Source: the coordinator holds no rows, so
-// passes build against an empty shard of the dataset's width and
-// labelledness — enough to allocate and merge states.
-func (s source) Shard() *fit.Shard {
-	sh := &fit.Shard{Cols: s.c.curCols}
-	if s.c.hasLabels {
-		sh.Labels = []float64{}
-	}
-	return sh
-}
-
-// Run implements fit.Source.
-func (s source) Run(ctx context.Context, r fit.Round) (float64, error) {
-	arg, err := encodeBody(r.Arg)
-	if err != nil {
-		return 0, err
-	}
-	replies, err := s.c.broadcast(ctx, request{Op: "reduce", Pass: r.Pass, body: arg})
-	if err != nil {
-		return 0, err
-	}
-	var stall float64
-	for _, reply := range replies {
-		st, err := r.Absorb(reply)
-		if err != nil {
-			return 0, err
-		}
-		stall += st
-	}
-	return stall, nil
-}
-
-// Open shards path across the dialed workers: it probes the file's
+// open shards path across the dialed workers: it probes the file's
 // shape, plans merge-group-aligned contiguous shards, and has each
-// active worker open its row window. Reusable across Fit calls.
-func (c *Coordinator) Open(ctx context.Context, path string) error {
+// active worker open its row window.
+func (c *Coordinator) open(ctx context.Context, path string) error {
 	if len(c.workers) == 0 {
 		return errors.New("dist: no workers")
 	}
@@ -319,10 +265,8 @@ func (c *Coordinator) Open(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	c.path = path
 	c.rows, c.cols, c.hasLabels = st.Rows, st.Cols, st.HasLabels
-	c.curCols = st.Cols
-	c.groupRows = exec.GroupRows(st.Rows)
+	groupRows := exec.GroupRows(st.Rows)
 	c.active = c.workers[:len(shards)]
 
 	var wg sync.WaitGroup
@@ -334,7 +278,7 @@ func (c *Coordinator) Open(ctx context.Context, path string) error {
 		go func(i int, w *workerConn, shard Range) {
 			defer wg.Done()
 			errs[i] = c.callOne(ctx, w, "open",
-				&openReq{Path: path, Lo: shard.Lo, Hi: shard.Hi, GroupRows: c.groupRows}, &openResp{})
+				&openReq{Path: path, Lo: shard.Lo, Hi: shard.Hi, GroupRows: groupRows}, &openResp{})
 		}(i, w, shard)
 	}
 	wg.Wait()
@@ -356,190 +300,121 @@ func (c *Coordinator) callOne(ctx context.Context, w *workerConn, op string, req
 	return decodeBody(reply, resp)
 }
 
-// Fit opens path (sharded across the workers) and runs the fit spec
-// describes, returning the inner model (*logreg.Model,
-// *kmeans.Result, *modelio.Pipeline, ...) — the same values a local
-// fit produces, bit for bit.
-func (c *Coordinator) Fit(ctx context.Context, path string, spec Spec) (any, error) {
-	sp := obs.StartSpan("dist", "fit "+spec.Algo)
-	defer sp.End()
-	if err := c.Open(ctx, path); err != nil {
+// Dataset opens path sharded across the workers, returns every
+// worker's view to its raw shard, and hands the shards back as a
+// dataset whose rows are remote: an estimator fits it with its
+// trainer's own driver, and every data pass the driver makes is one
+// broadcast round. The dataset is valid until the next Dataset call.
+func (c *Coordinator) Dataset(ctx context.Context, path string) (*core.Dataset, error) {
+	if err := c.open(ctx, path); err != nil {
 		return nil, err
 	}
 	if _, err := c.broadcast(ctx, request{Op: "reset"}); err != nil {
 		return nil, err
 	}
-	return c.fitSpec(ctx, spec)
+	return core.RemoteDataset(&shards{c: c, cols: c.cols}), nil
 }
 
-// fitSpec runs one estimator's or pipeline's own driver over the open,
-// already-reset shards: spec's fields become the trainer's Options and
-// the coordinator is the Source, so validation, defaults and every
-// optimizer step are the ones a local fit executes.
-func (c *Coordinator) fitSpec(ctx context.Context, spec Spec) (any, error) {
-	src := source{c}
-	switch spec.Algo {
-	case "logistic":
-		return logreg.TrainOn(ctx, src, spec.Binarize, spec.Positive, logreg.Options{
-			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
-			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
-		})
-	case "softmax":
-		return logreg.TrainSoftmaxOn(ctx, src, spec.Classes, logreg.Options{
-			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
-			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
-		})
-	case "linear", "linear-exact":
-		opts := linreg.Options{
-			Lambda: spec.Lambda, NoIntercept: spec.NoIntercept,
-			MaxIterations: spec.MaxIterations, GradTol: spec.GradTol,
-		}
-		if spec.Algo == "linear-exact" {
-			return linreg.TrainExactOn(ctx, src, opts)
-		}
-		return linreg.TrainOn(ctx, src, opts)
-	case "bayes":
-		return bayes.TrainOn(ctx, src, spec.Classes, bayes.Options{VarSmoothing: spec.VarSmoothing})
-	case "kmeans":
-		return c.fitKMeans(ctx, spec)
-	case "pca":
-		return pca.FitOn(ctx, src, pca.Options{
-			Components: spec.Components, MaxIterations: spec.MaxIterations,
-			Tol: spec.Tol, Seed: spec.Seed,
-		})
-	case "standard-scaler":
-		return preprocess.FitStandardOn(ctx, src)
-	case "minmax-scaler":
-		return preprocess.FitMinMaxOn(ctx, src)
-	case "pipeline":
-		return c.fitPipeline(ctx, spec)
-	case "sgd":
-		return nil, errors.New("dist: SGD is a sequential single-pass trainer; its updates depend on row order across the whole dataset and cannot be sharded — train locally instead")
-	}
-	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algo)
+// shards is the open dataset as a fit sees it: the fit.Source whose
+// every pass is one broadcast "reduce" round, the kmeans.DataPlane whose
+// sequential steps chain from shard to shard or go to the shard that
+// owns a row, and the core.Remote whose stages and cache are the
+// workers' views. It is the only place this package meets a fit, and it
+// meets it as bytes: a pass's argument goes out encoded, and each
+// shard's reply goes — in shard order, which is global row order — to
+// the round's Absorb, which merges that shard's group states in row
+// order before the next round reuses the reply buffers.
+type shards struct {
+	c *Coordinator
+	// cols is the width of the workers' views: the file's, until a
+	// fused stage changes it.
+	cols int
 }
 
-// fitKMeans runs the shared Lloyd driver over the sharded data plane:
-// every data-touching step is a broadcast round (or a routed
-// single-shard call), every bit of model math happens in RunPlane.
-func (c *Coordinator) fitKMeans(ctx context.Context, spec Spec) (*kmeans.Result, error) {
-	opts := kmeans.Options{
-		K:                spec.K,
-		MaxIterations:    spec.MaxIterations,
-		Tol:              spec.Tol,
-		Seed:             spec.Seed,
-		RandomInit:       spec.RandomInit,
-		RunAllIterations: spec.RunAllIterations,
+// Dims implements fit.Source with the global shape.
+func (s *shards) Dims() (int, int) { return s.c.rows, s.cols }
+
+// Shard implements fit.Source: the coordinator holds no rows, so
+// passes build against an empty shard of the views' width and the
+// file's labelledness — enough to allocate and merge states.
+func (s *shards) Shard() *fit.Shard {
+	sh := &fit.Shard{Cols: s.cols}
+	if s.c.hasLabels {
+		sh.Labels = []float64{}
 	}
-	if spec.InitCentroids != nil {
-		d := c.curCols
-		if spec.K < 1 || len(spec.InitCentroids) != spec.K*d {
-			return nil, fmt.Errorf("dist: InitCentroids has %d values, want %dx%d", len(spec.InitCentroids), spec.K, d)
-		}
-		init := mat.NewDense(spec.K, d)
-		for i := 0; i < spec.K; i++ {
-			init.SetRow(i, spec.InitCentroids[i*d:(i+1)*d])
-		}
-		opts.InitCentroids = init
-	}
-	return kmeans.RunPlane(ctx, plane{kmeans.SourcePlane{Src: source{c}}, c}, opts)
+	return sh
 }
 
-// fitPipeline fits each transformer stage distributively, pushes the
-// fitted stage to every worker (extending their fused views), then
-// fits the final estimator — materializing the transformed shards
-// once first for multi-epoch finals, exactly like the local pipeline.
-func (c *Coordinator) fitPipeline(ctx context.Context, spec Spec) (*modelio.Pipeline, error) {
-	if spec.Final == nil {
-		return nil, errors.New("dist: pipeline has no final estimator")
+// Run implements fit.Source.
+func (s *shards) Run(ctx context.Context, r fit.Round) (float64, error) {
+	arg, err := encodeBody(r.Arg)
+	if err != nil {
+		return 0, err
 	}
-	p := &modelio.Pipeline{}
-	for i, stage := range spec.Stages {
-		out, err := c.fitStage(ctx, stage)
+	replies, err := s.c.broadcast(ctx, request{Op: "reduce", Pass: r.Pass, body: arg})
+	if err != nil {
+		return 0, err
+	}
+	var stall float64
+	for _, reply := range replies {
+		st, err := r.Absorb(reply)
 		if err != nil {
-			return nil, fmt.Errorf("dist: pipeline stage %d: %w", i, err)
+			return 0, err
 		}
-		p.Stages = append(p.Stages, out)
+		stall += st
 	}
-
-	// Multi-epoch finals re-scan the transformed data every
-	// iteration; materialize the shard caches once, like the local
-	// pipeline's single fused materialization pass. Bounded-pass
-	// finals (bayes, exact linear, pca) stream off the fused views.
-	if len(spec.Stages) > 0 && multiEpoch(spec.Final.Algo) {
-		if _, err := c.broadcast(ctx, request{Op: "materialize"}); err != nil {
-			return nil, err
-		}
-	}
-	final, err := c.fitSpec(ctx, *spec.Final)
-	if err != nil {
-		return nil, err
-	}
-	p.Stages = append(p.Stages, final)
-	return p, nil
+	return stall, nil
 }
 
-// fitStage fits one transformer stage on the current views and has
-// every worker fuse it on, shipped as the bytes Save would write.
-func (c *Coordinator) fitStage(ctx context.Context, stage Spec) (any, error) {
-	switch stage.Algo {
-	case "standard-scaler", "minmax-scaler", "pca":
-	default:
-		return nil, fmt.Errorf("dist: unsupported pipeline stage %q", stage.Algo)
-	}
-	fitted, err := c.fitSpec(ctx, stage)
-	if err != nil {
-		return nil, err
-	}
+// Fuse implements core.Remote: every worker fuses the stage onto its
+// view, shipped as the bytes Save would write.
+func (s *shards) Fuse(ctx context.Context, stage any) error {
 	var model bytes.Buffer
-	if err := modelio.Save(&model, fitted); err != nil {
-		return nil, err
+	if err := modelio.Save(&model, stage); err != nil {
+		return err
 	}
 	body, err := encodeBody(&stageReq{Model: model.Bytes()})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	replies, err := c.broadcast(ctx, request{Op: "stage", body: body})
+	replies, err := s.c.broadcast(ctx, request{Op: "stage", body: body})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var resp stageResp
 	if err := decodeBody(replies[0], &resp); err != nil {
-		return nil, err
+		return err
 	}
-	c.curCols = resp.OutCols
-	return fitted, nil
+	s.cols = resp.OutCols
+	return nil
 }
 
-// multiEpoch reports whether an algorithm re-scans the data across
-// iterations — the complement of the root package's streamingFit
-// markers.
-func multiEpoch(algo string) bool {
-	switch algo {
-	case "bayes", "linear-exact", "pca", "standard-scaler", "minmax-scaler":
-		return false
-	}
-	return true
+// Materialize implements core.Remote: every worker streams its fused
+// view once into a cache, which its later passes read instead.
+func (s *shards) Materialize(ctx context.Context) error {
+	_, err := s.c.broadcast(ctx, request{Op: "materialize"})
+	return err
 }
 
-// plane is the sharded kmeans.DataPlane: the assignment and seeding
-// passes are reduce rounds like any other (the embedded SourcePlane);
-// the sequential k-means++ prefix walk chains shard to shard carrying
-// the running accumulator; row fetches route to the owning shard.
-type plane struct {
-	kmeans.SourcePlane
-	c *Coordinator
+// AssignPass implements kmeans.DataPlane.
+func (s *shards) AssignPass(ctx context.Context, centroids []float64, k int) (*kmeans.AssignPartial, float64, error) {
+	return kmeans.SourcePlane{Src: s}.AssignPass(ctx, centroids, k)
+}
+
+// SeedPass implements kmeans.DataPlane.
+func (s *shards) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
+	return kmeans.SourcePlane{Src: s}.SeedPass(ctx, prev)
 }
 
 // SamplePrefix implements kmeans.DataPlane: shards are walked in
 // order, each resuming the running prefix sum where the previous
 // left off — the distributed transcription of the flat sequential
 // walk (same additions, same comparisons).
-func (p plane) SamplePrefix(ctx context.Context, target float64) (int, error) {
+func (s *shards) SamplePrefix(ctx context.Context, target float64) (int, error) {
 	acc := 0.0
-	for _, w := range p.c.active {
+	for _, w := range s.c.active {
 		var resp sampleResp
-		if err := p.c.callOne(ctx, w, "kmeans/sample", &sampleReq{Acc: acc, Target: target}, &resp); err != nil {
+		if err := s.c.callOne(ctx, w, "kmeans/sample", &sampleReq{Acc: acc, Target: target}, &resp); err != nil {
 			return 0, err
 		}
 		if resp.Found {
@@ -549,15 +424,15 @@ func (p plane) SamplePrefix(ctx context.Context, target float64) (int, error) {
 	}
 	// Mass fell short of target (floating-point shortfall): the local
 	// walk falls back to the last row.
-	return p.c.rows - 1, nil
+	return s.c.rows - 1, nil
 }
 
 // FetchRow implements kmeans.DataPlane, routing to the owning shard.
-func (p plane) FetchRow(ctx context.Context, i int, dst []float64) (float64, error) {
-	for _, w := range p.c.active {
+func (s *shards) FetchRow(ctx context.Context, i int, dst []float64) (float64, error) {
+	for _, w := range s.c.active {
 		if i >= w.lo && i < w.hi {
 			var resp rowResp
-			if err := p.c.callOne(ctx, w, "row", &rowReq{I: i - w.lo}, &resp); err != nil {
+			if err := s.c.callOne(ctx, w, "row", &rowReq{I: i - w.lo}, &resp); err != nil {
 				return 0, err
 			}
 			copy(dst, resp.Row)
@@ -569,12 +444,12 @@ func (p plane) FetchRow(ctx context.Context, i int, dst []float64) (float64, err
 
 // GatherAssignments implements kmeans.DataPlane, concatenating shard
 // assignments in shard order.
-func (p plane) GatherAssignments(ctx context.Context) ([]int, error) {
-	replies, err := p.c.broadcast(ctx, request{Op: "kmeans/gather"})
+func (s *shards) GatherAssignments(ctx context.Context) ([]int, error) {
+	replies, err := s.c.broadcast(ctx, request{Op: "kmeans/gather"})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, p.c.rows)
+	out := make([]int, 0, s.c.rows)
 	for _, reply := range replies {
 		var r gatherResp
 		if err := decodeBody(reply, &r); err != nil {

@@ -26,7 +26,6 @@ import (
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/linreg"
 	"m3/internal/ml/logreg"
-	"m3/internal/ml/modelio"
 	"m3/internal/ml/pca"
 	"m3/internal/ml/preprocess"
 	"m3/internal/obs"
@@ -180,6 +179,27 @@ func (c *faultyConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// openShards opens path across c's workers and returns the shards as a
+// trainer's driver sees them.
+func openShards(t *testing.T, c *Coordinator, path string) *shards {
+	t.Helper()
+	ds, err := c.Dataset(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Source(0).(*shards)
+}
+
+// fitLogistic opens path across c's workers and fits positive-vs-rest
+// logistic regression on the shards.
+func fitLogistic(ctx context.Context, c *Coordinator, path string, positive float64, opts logreg.Options) (*logreg.Model, error) {
+	ds, err := c.Dataset(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	return logreg.TrainOn(ctx, ds.Source(0), true, positive, opts)
+}
+
 // eqFloats asserts bit-exact equality of two float slices.
 func eqFloats(t *testing.T, name string, got, want []float64) {
 	t.Helper()
@@ -240,13 +260,10 @@ func TestLogisticParity(t *testing.T) {
 	for _, mode := range []core.Mode{core.InMemory, core.MemoryMapped} {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := startCluster(t, 3, WorkerConfig{Mode: mode, Workers: 3})
-			got, err := c.Fit(context.Background(), path, Spec{
-				Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 8,
-			})
+			m, err := fitLogistic(context.Background(), c, path, 3, logreg.Options{MaxIterations: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := got.(*logreg.Model)
 			eqFloats(t, "weights", m.Weights, want.Weights)
 			if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
 				t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
@@ -273,11 +290,10 @@ func TestSoftmaxParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "softmax", Classes: 4, MaxIterations: 6})
+	m, err := logreg.TrainSoftmaxOn(context.Background(), openShards(t, c, path), 4, logreg.Options{MaxIterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got.(*logreg.SoftmaxModel)
 	eqFloats(t, "weights", m.Weights, want.Weights)
 	eqFloats(t, "bias", m.Bias, want.Bias)
 }
@@ -292,11 +308,10 @@ func TestLinearParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Fit(context.Background(), path, Spec{Algo: "linear", MaxIterations: 8})
+		m, err := linreg.TrainOn(context.Background(), openShards(t, c, path), linreg.Options{MaxIterations: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := got.(*linreg.Model)
 		eqFloats(t, "weights", m.Weights, want.Weights)
 		if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
 			t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
@@ -307,11 +322,10 @@ func TestLinearParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Fit(context.Background(), path, Spec{Algo: "linear-exact"})
+		m, err := linreg.TrainExactOn(context.Background(), openShards(t, c, path), linreg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := got.(*linreg.Model)
 		eqFloats(t, "weights", m.Weights, want.Weights)
 		if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
 			t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
@@ -331,11 +345,10 @@ func TestBayesParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 4, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "bayes", Classes: 5})
+	m, err := bayes.TrainOn(context.Background(), openShards(t, c, path), 5, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got.(*bayes.Model)
 	eqFloats(t, "priors", m.LogPrior, want.LogPrior)
 	eqFloats(t, "means", m.Mean, want.Mean)
 	eqFloats(t, "variances", m.Var, want.Var)
@@ -349,11 +362,10 @@ func TestPCAParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "pca", Components: 3, Seed: 11})
+	r, err := pca.FitOn(context.Background(), openShards(t, c, path), pca.Options{Components: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := got.(*pca.Result)
 	eqFloats(t, "mean", r.Mean, want.Mean)
 	eqFloats(t, "eigenvalues", r.Eigenvalues, want.Eigenvalues)
 	for i := 0; i < 3; i++ {
@@ -367,18 +379,9 @@ func TestKMeansParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts kmeans.Options
-		spec Spec
 	}{
-		{
-			name: "kmeanspp",
-			opts: kmeans.Options{K: 4, MaxIterations: 10, Seed: 7},
-			spec: Spec{Algo: "kmeans", K: 4, MaxIterations: 10, Seed: 7},
-		},
-		{
-			name: "random-init",
-			opts: kmeans.Options{K: 3, MaxIterations: 10, Seed: 3, RandomInit: true},
-			spec: Spec{Algo: "kmeans", K: 3, MaxIterations: 10, Seed: 3, RandomInit: true},
-		},
+		{name: "kmeanspp", opts: kmeans.Options{K: 4, MaxIterations: 10, Seed: 7}},
+		{name: "random-init", opts: kmeans.Options{K: 3, MaxIterations: 10, Seed: 3, RandomInit: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := kmeans.Run(context.Background(), x, tc.opts)
@@ -386,11 +389,10 @@ func TestKMeansParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := startCluster(t, 3, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-			got, err := c.Fit(context.Background(), path, tc.spec)
+			r, err := kmeans.RunOn(context.Background(), openShards(t, c, path), tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := got.(*kmeans.Result)
 			if math.Float64bits(r.Inertia) != math.Float64bits(want.Inertia) {
 				t.Fatalf("inertia %v, want %v", r.Inertia, want.Inertia)
 			}
@@ -428,39 +430,38 @@ func TestScalerPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.BlockTransformer{scalerStage{s: scaler}}))
+	fused := mat.NewFused(x, x.Cols(), scaler.BlockKernel)
 	want, err := bayes.Train(context.Background(), fused, y, 4, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	ctx := context.Background()
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo:   "pipeline",
-		Stages: []Spec{{Algo: "standard-scaler"}},
-		Final:  &Spec{Algo: "bayes", Classes: 4},
-	})
+	src := openShards(t, c, path)
+	sc, err := preprocess.FitStandardOn(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := got.(*modelio.Pipeline)
-	if len(p.Stages) != 2 {
-		t.Fatalf("%d pipeline stages, want 2", len(p.Stages))
-	}
-	sc := p.Stages[0].(*preprocess.StandardScaler)
 	eqFloats(t, "scaler mean", sc.Mean, scaler.Mean)
 	eqFloats(t, "scaler std", sc.Std, scaler.Std)
-	final := p.Stages[1].(*bayes.Model)
+	if err := src.Fuse(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	final, err := bayes.TrainOn(ctx, src, 4, bayes.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eqFloats(t, "priors", final.LogPrior, want.LogPrior)
 	eqFloats(t, "means", final.Mean, want.Mean)
 	eqFloats(t, "variances", final.Var, want.Var)
 }
 
 // TestMaterializedPipelineParity checks the multi-epoch pipeline path:
-// the coordinator must order a shard-local materialize before a
-// logistic final so every optimizer pass reads a cached shard instead
-// of re-running the fused transform — and the result must still match
-// the local pipeline, which materializes the same way.
+// a shard-local materialize before a logistic final, so every
+// optimizer pass reads a cached shard instead of re-running the fused
+// transform — and the result must still match the local fused
+// composition.
 func TestMaterializedPipelineParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	x, labels := openLocal(t, path)
@@ -469,23 +470,29 @@ func TestMaterializedPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.BlockTransformer{scalerStage{s: scaler}}))
+	fused := mat.NewFused(x, x.Cols(), scaler.BlockKernel)
 	want, err := logreg.Train(context.Background(), fused, y, logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	ctx := context.Background()
 	c := startCluster(t, 3, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo:   "pipeline",
-		Stages: []Spec{{Algo: "standard-scaler"}},
-		Final:  &Spec{Algo: "logistic", Binarize: true, Positive: 2, MaxIterations: 8},
-	})
+	src := openShards(t, c, path)
+	sc, err := preprocess.FitStandardOn(ctx, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := got.(*modelio.Pipeline)
-	m := p.Stages[len(p.Stages)-1].(*logreg.Model)
+	if err := src.Fuse(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m, err := logreg.TrainOn(ctx, src, true, 2, logreg.Options{MaxIterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eqFloats(t, "weights", m.Weights, want.Weights)
 	if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
 		t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
@@ -510,9 +517,7 @@ func TestWorkerDiesMidFit(t *testing.T) {
 			return dying
 		})
 	c := dial(t, addrs)
-	_, err := c.Fit(context.Background(), path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
-	})
+	_, err := fitLogistic(context.Background(), c, path, 3, logreg.Options{MaxIterations: 100000, GradTol: 1e-300})
 	if err == nil {
 		t.Fatal("fit succeeded despite a dead worker")
 	}
@@ -540,9 +545,7 @@ func TestCancelMidFit(t *testing.T) {
 			return canceling
 		}))
 	start := time.Now()
-	_, err := c.Fit(ctx, path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
-	})
+	_, err := fitLogistic(ctx, c, path, 3, logreg.Options{MaxIterations: 100000, GradTol: 1e-300})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -561,7 +564,6 @@ func TestCancelMidFit(t *testing.T) {
 // undisturbed one.
 func TestCancelAtEveryRequest(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
-	spec := Spec{Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 3}
 	first := &faultyListener{}
 	addrs := startWorkers(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2},
 		func(i int, ln net.Listener) net.Listener {
@@ -571,12 +573,12 @@ func TestCancelAtEveryRequest(t *testing.T) {
 			first.Listener = ln
 			return first
 		})
-	fitOnce := func(ctx context.Context) (any, error) {
+	fitOnce := func(ctx context.Context) (*logreg.Model, error) {
 		c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := c.Fit(ctx, path, spec)
+		model, err := fitLogistic(ctx, c, path, 3, logreg.Options{MaxIterations: 3})
 		if cerr := c.Close(); cerr != nil {
 			t.Errorf("close: %v", cerr)
 		}
@@ -610,18 +612,7 @@ func TestCancelAtEveryRequest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fit after a cancellation at request %d: %v", n, err)
 		}
-		eqFloats(t, "weights", got.(*logreg.Model).Weights, want.(*logreg.Model).Weights)
-	}
-}
-
-// TestSGDRejected checks the sequential trainer is refused with a
-// useful message.
-func TestSGDRejected(t *testing.T) {
-	path := writeTestData(t, 600, 4, 2)
-	c := startCluster(t, 2, WorkerConfig{Mode: core.InMemory, Workers: 1})
-	_, err := c.Fit(context.Background(), path, Spec{Algo: "sgd"})
-	if err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("err = %v, want sequential-trainer rejection", err)
+		eqFloats(t, "weights", got.Weights, want.Weights)
 	}
 }
 
@@ -636,28 +627,15 @@ func TestMoreWorkersThanGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 4, WorkerConfig{Mode: core.InMemory, Workers: 1})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 1, MaxIterations: 5,
-	})
+	got, err := fitLogistic(context.Background(), c, path, 1, logreg.Options{MaxIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Shards() != 2 {
 		t.Fatalf("shards = %d, want 2", c.Shards())
 	}
-	eqFloats(t, "weights", got.(*logreg.Model).Weights, want.Weights)
+	eqFloats(t, "weights", got.Weights, want.Weights)
 }
-
-// scalerStage lets the two pipeline parity tests above name their local
-// reference chain as a core.BlockTransformer. A one-stage chain is only
-// ever asked for its kernel, which is the scaler's own — the same method
-// a worker's fused view calls.
-type scalerStage struct {
-	core.BlockTransformer
-	s *preprocess.StandardScaler
-}
-
-func (t scalerStage) BlockKernel() core.RowKernel { return t.s.BlockKernel() }
 
 // colSums is the state of the test-only pass below: per-column sums
 // plus a row count.
@@ -744,14 +722,9 @@ func TestGenericReduce(t *testing.T) {
 
 			ctx := context.Background()
 			c := startCluster(t, tc.workers, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-			if err := c.Open(ctx, path); err != nil {
-				t.Fatal(err)
-			}
+			src := openShards(t, c, path)
 			if c.Shards() != tc.wantShards {
 				t.Fatalf("shards = %d, want %d", c.Shards(), tc.wantShards)
-			}
-			if _, err := c.broadcast(ctx, request{Op: "reset"}); err != nil {
-				t.Fatal(err)
 			}
 
 			sums, err := colSumsPass.New(local.Shard(), struct{}{})
@@ -762,7 +735,7 @@ func TestGenericReduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := fit.Reduce(ctx, source{c}, colSumsPass, struct{}{})
+			got, _, err := fit.Reduce(ctx, src, colSumsPass, struct{}{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -779,13 +752,13 @@ func TestGenericReduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMass, _, err := fit.Reduce(ctx, source{c}, massPass, 3.0)
+			gotMass, _, err := fit.Reduce(ctx, src, massPass, 3.0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			eqFloats(t, "mass", []float64{*gotMass}, []float64{*wantMass})
 
-			if _, _, err := fit.Reduce(ctx, source{c}, fit.Pass[struct{}, *colSums]{Name: "test/undeclared", New: colSumsPass.New}, struct{}{}); err == nil || !strings.Contains(err.Error(), "unknown pass") {
+			if _, _, err := fit.Reduce(ctx, src, fit.Pass[struct{}, *colSums]{Name: "test/undeclared", New: colSumsPass.New}, struct{}{}); err == nil || !strings.Contains(err.Error(), "unknown pass") {
 				t.Fatalf("undeclared pass: err = %v, want unknown-pass error", err)
 			}
 		})
@@ -798,9 +771,7 @@ func TestRoundMetricsKeepPassNames(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
 	before := obs.Default().Snapshot()
-	if _, err := c.Fit(context.Background(), path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 4,
-	}); err != nil {
+	if _, err := fitLogistic(context.Background(), c, path, 3, logreg.Options{MaxIterations: 4}); err != nil {
 		t.Fatal(err)
 	}
 	delta := obs.Default().Snapshot().Sub(before)

@@ -1,13 +1,16 @@
 // Package dist implements M3's row-sharded training cluster: K
 // workers each own one contiguous, merge-group-aligned row range of a
-// dataset file and an engine to scan it; a coordinator runs the
-// trainers' own drivers (logreg.TrainOn, kmeans.RunPlane, ...) with
-// itself as the fit.Source, so every data pass a driver makes becomes
-// one broadcast round.
+// dataset file and an engine to scan it. A coordinator opens the file
+// across them and hands back a core.Dataset whose rows are the shards
+// (Coordinator.Dataset); an estimator fits it as it fits any dataset,
+// through its trainer's own driver with the shards as the fit.Source,
+// so every data pass the driver makes becomes one broadcast round, a
+// pipeline's fused stage the stage op and its cache the materialize op.
 //
-// The package knows no algorithm. A data pass is declared once, next
-// to its trainer (fit.Declare: a name, and a constructor of the pass's
-// exec.Aggregate from a shard and a gob-able argument). Locally
+// The package knows no estimator, and no algorithm beyond the two
+// sequential steps of k-means below. A data pass is declared once,
+// next to its trainer (fit.Declare: a name, and a constructor of the
+// pass's exec.Aggregate from a shard and a gob-able argument). Locally
 // fit.Reduce folds that aggregate over the matrix; here it hands the
 // coordinator a fit.Round, the coordinator broadcasts the single
 // "reduce" op — pass name plus encoded argument — each worker looks

@@ -208,7 +208,7 @@ func (s *session) reset() {
 
 // fusable is a fitted transformer stage that can extend a fused view:
 // what *preprocess.StandardScaler, *preprocess.MinMaxScaler and
-// *pca.Result — the stages a pipeline Spec can name — all provide.
+// *pca.Result — the stages a pipeline fuses — all provide.
 type fusable interface {
 	InCols() int
 	OutCols() int

@@ -233,6 +233,9 @@ func NewLocalClasses(x *mat.Dense, classIDs []int, workers int) *Local {
 	return l
 }
 
+// Matrix returns the matrix l scans.
+func (l *Local) Matrix() *mat.Dense { return l.x }
+
 // Dims implements Source.
 func (l *Local) Dims() (int, int) { return l.shard.Rows, l.shard.Cols }
 

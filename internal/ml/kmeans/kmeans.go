@@ -240,8 +240,8 @@ type DataPlane interface {
 }
 
 // SourcePlane is the scanning half of a DataPlane over any source of
-// rows: the two passes, reduced wherever the rows are. LocalPlane and
-// the distributed coordinator's plane embed it.
+// rows: the two passes, reduced wherever the rows are. LocalPlane
+// embeds it, and a cluster's shards run their passes through it.
 type SourcePlane struct{ Src fit.Source }
 
 // Dims implements DataPlane.
@@ -318,10 +318,23 @@ func Run(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 	return RunPlane(ctx, NewLocalPlane(x, o.Workers), opts)
 }
 
+// RunOn is Run over any source of rows, shaped like the other
+// trainers' drivers: a source that is its own DataPlane (a cluster's
+// shards) runs as one, and an in-process one gets a LocalPlane.
+func RunOn(ctx context.Context, src fit.Source, opts Options) (*Result, error) {
+	switch s := src.(type) {
+	case DataPlane:
+		return RunPlane(ctx, s, opts)
+	case *fit.Local:
+		return RunPlane(ctx, &LocalPlane{SourcePlane: SourcePlane{Src: s}, x: s.Matrix()}, opts)
+	}
+	return nil, fmt.Errorf("kmeans: a %T is neither a data plane nor in process", src)
+}
+
 // RunPlane clusters the plane's rows into K groups — the full Lloyd
 // driver (init, iterate, converge) over any DataPlane. Run wires it to
-// a local matrix; the distributed coordinator wires it to sharded
-// workers, and both produce bit-identical results because the plane
+// a local matrix; the distributed coordinator's shards are their own
+// plane, and both produce bit-identical results because the plane
 // contract fixes the floating-point operation order.
 func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()

@@ -100,9 +100,12 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	}
 
 	// cur is the dataset the next stage fits on: ds, a fused view
-	// over ds (or over owned), or a materialized fallback. owned is
-	// the one materialized intermediate we hold, if any.
+	// over ds (or over owned), or a materialized fallback; fusedView
+	// reports that stages have been fused onto it since it was last
+	// materialized. owned is the one materialized intermediate we
+	// hold, if any.
 	cur := ds
+	fusedView := false
 	var owned *Dataset
 	release := func() error {
 		d := owned
@@ -131,11 +134,11 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 			// Fuse: extend the virtual view — no materialization, no
 			// extra pass. Nested views compose down to one chain, so
 			// the source is still read once per row.
-			next, err := core.FusedDataset(cur, []core.BlockTransformer{bt})
+			next, err := fuse(ctx, cur, tm, bt)
 			if err != nil {
 				return nil, errors.Join(fmt.Errorf("m3: pipeline stage %d: %w", i, err), release())
 			}
-			cur = next
+			cur, fusedView = next, true
 			stages = append(stages, tm)
 			fused = append(fused, true)
 			continue
@@ -143,6 +146,9 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 		// Fallback for third-party stages without a block kernel:
 		// materialize through the engine. The pass runs on the fused
 		// view, so any pending chain is applied in the same scan.
+		if err := cur.InProcess(fmt.Sprintf("pipeline stage %d (%T)", i, tm), "it has no block kernel, so its output is materialized in this process"); err != nil {
+			return nil, errors.Join(err, release())
+		}
 		next, err := func() (*Dataset, error) {
 			sp := obs.StartSpan("pipeline", fmt.Sprintf("stage %d materialize", i))
 			defer sp.End()
@@ -156,7 +162,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 		if err := release(); err != nil {
 			return nil, errors.Join(err, next.Release())
 		}
-		cur, owned = next, next
+		cur, owned, fusedView = next, next, false
 		materializations++
 		cacheMapped = next.Mapped
 		stages = append(stages, tm)
@@ -166,7 +172,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	// Classify the final estimator: bounded-pass trainers stream off
 	// the fused view; multi-epoch trainers get the transformed matrix
 	// materialized exactly once, by a single fused pass.
-	if cur.X.IsFused() && !isStreamingFit(p.Estimator) {
+	if fusedView && !isStreamingFit(p.Estimator) {
 		cache, err := func() (*Dataset, error) {
 			sp := obs.StartSpan("pipeline", "materialize cache")
 			defer sp.End()
@@ -198,6 +204,24 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 		materializations: materializations,
 		cacheMapped:      cacheMapped,
 	}, nil
+}
+
+// fuse extends cur's view with a fitted stage: a fused view over the
+// matrix in process, or, when the rows are remote, the stage's serial
+// form pushed to every holder of them — cur is then that view.
+func fuse(ctx context.Context, cur *Dataset, tm TransformerModel, bt BlockTransformer) (*Dataset, error) {
+	remote, ok := cur.Source(0).(core.Remote)
+	if !ok {
+		return core.FusedDataset(cur, []core.BlockTransformer{bt})
+	}
+	stage, err := innerModel(tm)
+	if err != nil {
+		return nil, err
+	}
+	if err := remote.Fuse(ctx, stage); err != nil {
+		return nil, err
+	}
+	return cur, nil
 }
 
 // FittedPipeline is a fitted chain: every prediction routes the row

@@ -86,7 +86,7 @@ type StandardScaler struct {
 func (e StandardScaler) FitTransform(ctx context.Context, ds *Dataset) (TransformerModel, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	s, err := preprocess.FitStandard(ctx, ds.X, opts)
+	s, err := preprocess.FitStandardOn(ctx, ds.Source(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ type MinMaxScaler struct {
 func (e MinMaxScaler) FitTransform(ctx context.Context, ds *Dataset) (TransformerModel, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	s, err := preprocess.FitMinMax(ctx, ds.X, opts)
+	s, err := preprocess.FitMinMaxOn(ctx, ds.Source(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
