@@ -170,6 +170,22 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 	if !strings.Contains(out, "I/O bound: true") {
 		t.Errorf("m3bench iobound output: %s", out)
 	}
+
+	// The retired real-hardware experiments are unknown names now, and
+	// the usage lists exactly the simulated ones.
+	const usage = "experiment: fig1a, fig1b, iobound, access, predict, disks, energy, locality, multicore, all"
+	for _, retired := range []string{"serve", "dist"} {
+		cmd := exec.Command(filepath.Join(buildCLIs(t), "m3bench"), "-exp", retired)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+			t.Errorf("m3bench -exp %s: exit %d (%v), want 2", retired, code, err)
+		}
+		for _, want := range []string{"unknown experiment", usage} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("m3bench -exp %s output missing %q:\n%s", retired, want, out)
+			}
+		}
+	}
 }
 
 // TestCLITrainTraceAndProfile: an out-of-core m3train -trace run
@@ -394,18 +410,6 @@ func TestCLIServeEndToEnd(t *testing.T) {
 	}
 	if err := srv.Wait(); err != nil {
 		t.Fatalf("m3serve exit: %v", err)
-	}
-}
-
-func TestCLIBenchServe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runCLI(t, "m3bench", "-exp", "serve", "-rows", "128", "-duration", "100ms")
-	for _, want := range []string{"knn (in-ram)", "knn-ooc (out-of-core)", "micro", "single", "micro-batching"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("m3bench serve output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -1,4 +1,4 @@
-// Command m3bench regenerates the paper's evaluation artifacts on the
+// Command m3bench regenerates the paper's evaluation figures on the
 // simulated substrates (internal/vm, internal/cluster):
 //
 //	m3bench -exp fig1a     # Figure 1a: runtime vs dataset size
@@ -9,24 +9,21 @@
 //	m3bench -exp disks     # ablation: HDD vs SSD vs RAID 0
 //	m3bench -exp energy    # §4 energy usage: desktop vs clusters
 //	m3bench -exp locality  # §4 recorded traces + miss-ratio curves
-//	m3bench -exp parallel  # real hardware: blocked scan, workers 1..N
-//	m3bench -exp multicore # simulated: parallel faulting, workers × size
-//	m3bench -exp fusion    # real hardware: fused vs eager pipeline fit
-//	m3bench -exp serve     # real hardware: micro-batched vs single-request serving
-//	m3bench -exp dist      # real localhost worker cluster + simulated scale-out
+//	m3bench -exp multicore # parallel faulting, workers × size
 //	m3bench -exp all       # everything
 //
 // -experiment is accepted as an alias of -exp.
 //
 // With -json out.json, every experiment additionally appends
-// machine-readable records (algorithm, mode, workers, wall/simulated
-// seconds, faults) so benchmark trajectories can accumulate across
-// runs.
+// machine-readable records (algorithm, mode, workers, simulated
+// seconds, passes).
 //
-// Simulated seconds model the paper's hardware (32 GB RAM desktop
-// with a PCIe SSD; EMR m3.2xlarge workers); the shapes — who wins,
-// by what factor, where the RAM knee falls — are the reproduction
-// target, not the absolute values.
+// Every experiment is a simulation: simulated seconds model the
+// paper's hardware (32 GB RAM desktop with a PCIe SSD; EMR m3.2xlarge
+// workers), and the shapes — who wins, by what factor, where the RAM
+// knee falls — are the reproduction target, not the absolute values.
+// Real-hardware numbers for the engine, the serving daemon and the
+// worker cluster come from the repository benchmark (benchmark/run.sh).
 package main
 
 import (
@@ -34,78 +31,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"time"
 
 	"m3/internal/bench"
-	"m3/internal/infimnist"
-	"m3/internal/iostats"
-	"m3/internal/mat"
 	"m3/internal/obs"
-	"m3/internal/store"
 )
 
 // Record is one machine-readable benchmark result.
 type Record struct {
-	Experiment  string  `json:"experiment"`
-	Algorithm   string  `json:"algorithm"`
-	Mode        string  `json:"mode"`
-	Workers     int     `json:"workers"`
-	SizeBytes   int64   `json:"size_bytes,omitempty"`
-	SimSeconds  float64 `json:"sim_seconds,omitempty"`
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
-	MajorFaults int64   `json:"major_faults,omitempty"`
-	// FaultsValid is true when MajorFaults came from readable /proc
-	// counters (real-hardware experiments only).
-	FaultsValid bool `json:"faults_valid,omitempty"`
-	Passes      int  `json:"passes,omitempty"`
-	// Fusion-experiment fields: Go heap allocated during the fit,
-	// engine scratch traffic, and pipeline intermediate count.
-	HeapAllocBytes   int64 `json:"heap_alloc_bytes,omitempty"`
-	ScratchAllocs    int64 `json:"scratch_allocs,omitempty"`
-	ScratchBytes     int64 `json:"scratch_bytes,omitempty"`
-	Materializations int   `json:"materializations,omitempty"`
-	// Serve-experiment fields: load-harness throughput and latency
-	// quantiles per (model, batching, workers) cell.
-	Batching      string  `json:"batching,omitempty"`
-	Requests      int64   `json:"requests,omitempty"`
-	Errors        int64   `json:"errors,omitempty"`
-	QPS           float64 `json:"qps,omitempty"`
-	P50Ms         float64 `json:"p50_ms,omitempty"`
-	P90Ms         float64 `json:"p90_ms,omitempty"`
-	P99Ms         float64 `json:"p99_ms,omitempty"`
-	MeanBatchRows float64 `json:"mean_batch_rows,omitempty"`
-	// Dist-experiment fields: shard count, per-round aggregate
-	// traffic, and speedup vs the 1-shard fit at the same size.
-	Shards               int     `json:"shards,omitempty"`
-	Rounds               int64   `json:"rounds,omitempty"`
-	BytesPerRound        int64   `json:"bytes_per_round,omitempty"`
-	StragglerWaitSeconds float64 `json:"straggler_wait_seconds,omitempty"`
-	Speedup              float64 `json:"speedup,omitempty"`
-	// Counters is the movement of the process-wide obs registry
-	// (m3_process_* CPU/IO, m3_fit_* optimizer progress) across the
-	// measured region, so records carry utilization alongside
-	// wall-clock — the §3.1 "where did the time go" answer in the
-	// BENCH_*.json artifact itself.
-	Counters map[string]float64 `json:"counters,omitempty"`
-}
-
-// snapDelta returns the non-zero counter movement since before, or
-// nil when nothing moved, keeping records compact.
-func snapDelta(before obs.Snapshot) map[string]float64 {
-	d := obs.Default().Snapshot().Sub(before)
-	for k, v := range d {
-		if v == 0 {
-			delete(d, k)
-		}
-	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
+	Experiment string  `json:"experiment"`
+	Algorithm  string  `json:"algorithm"`
+	Mode       string  `json:"mode"`
+	Workers    int     `json:"workers"`
+	SizeBytes  int64   `json:"size_bytes,omitempty"`
+	SimSeconds float64 `json:"sim_seconds,omitempty"`
+	Passes     int     `json:"passes,omitempty"`
 }
 
 // recorder accumulates records for -json output.
@@ -139,13 +81,12 @@ func main() { os.Exit(benchMain()) }
 // benchMain is main behind an exit code so the -trace / -profile
 // defers flush even when an experiment fails partway.
 func benchMain() int {
-	exp := flag.String("exp", "all", "experiment: fig1a, fig1b, iobound, access, predict, disks, energy, locality, parallel, multicore, fusion, serve, dist, all")
+	exp := flag.String("exp", "all", "experiment: fig1a, fig1b, iobound, access, predict, disks, energy, locality, multicore, all")
 	flag.StringVar(exp, "experiment", *exp, "alias of -exp")
 	rows := flag.Int("rows", 512, "actual (scaled-down) row count the math runs on")
 	seed := flag.Uint64("seed", 3, "workload seed")
 	size := flag.Float64("size", 190e9, "nominal dataset bytes for single-size experiments")
 	passes := flag.Int("passes", 10, "steady-state passes per multicore point")
-	duration := flag.Duration("duration", 2*time.Second, "load duration per serve-experiment cell")
 	jsonOut := flag.String("json", "", "write machine-readable results to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this path")
 	profileOut := flag.String("profile", "", "write a CPU profile of the run to this path")
@@ -197,13 +138,9 @@ func benchMain() int {
 		"disks":     func() error { return runDisks(w, rec) },
 		"energy":    func() error { return runEnergy(machine, w, rec) },
 		"locality":  func() error { return runLocality(w, rec) },
-		"parallel":  func() error { return runParallel(rec) },
 		"multicore": func() error { return runMultiCore(machine, w, *passes, rec) },
-		"fusion":    func() error { return runFusion(int64(*rows), rec) },
-		"serve":     func() error { return runServe(int64(*rows), *duration, rec) },
-		"dist":      func() error { return runDist(machine, w, int64(*rows), rec) },
 	}
-	order := []string{"fig1a", "fig1b", "iobound", "access", "predict", "disks", "energy", "locality", "parallel", "multicore", "fusion", "serve", "dist"}
+	order := []string{"fig1a", "fig1b", "iobound", "access", "predict", "disks", "energy", "locality", "multicore"}
 
 	if *exp == "all" {
 		for _, name := range order {
@@ -416,104 +353,4 @@ func runMultiCore(machine bench.Machine, w bench.Workload, passes int, rec *reco
 		})
 	}
 	return bench.RenderMultiCore(os.Stdout, points, machine.RAMBytes)
-}
-
-// workerSweep returns {1, 2, 4, NumCPU} deduplicated and sorted, so
-// records never carry duplicate (mode, workers) keys.
-func workerSweep() []int {
-	sweep := []int{1, 2, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	out := sweep[:0]
-	for _, w := range sweep {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// runParallel measures real wall-clock time of a full-matrix scan
-// (y = A·x) on an mmap-backed matrix through the shared
-// chunked-execution layer, sweeping the worker count — the hardware
-// counterpart of BenchmarkParallelScan.
-func runParallel(rec *recorder) error {
-	header("Parallel — blocked mmap scan on this machine (internal/exec)")
-	const rows, cols = 4096, 784
-	dir, err := os.MkdirTemp("", "m3bench-parallel")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "scan.bin")
-	ms, err := store.CreateMapped(path, rows*cols)
-	if err != nil {
-		return err
-	}
-	defer ms.Close()
-	g := infimnist.Generator{Seed: 7}
-	data, _ := g.Matrix(0, rows)
-	copy(ms.Data(), data)
-	x, err := mat.NewDenseStore(ms, rows, cols)
-	if err != nil {
-		return err
-	}
-
-	vec := make([]float64, cols)
-	for j := range vec {
-		vec[j] = 1 / float64(j+1)
-	}
-	y := make([]float64, rows)
-	const reps = 20
-
-	// measure returns the mean wall time per scan plus the major-fault
-	// delta; faultsOK is false when /proc counters are unavailable, so
-	// a zero is never mistaken for a fully-resident run.
-	measure := func(workers int) (wall float64, faults int64, faultsOK bool) {
-		before, errB := iostats.ReadProc()
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			if workers == 0 {
-				x.MulVec(y, vec)
-			} else {
-				x.MulVecParallel(y, vec, workers)
-			}
-		}
-		wall = time.Since(start).Seconds() / reps
-		after, errA := iostats.ReadProc()
-		if errB != nil || errA != nil {
-			return wall, 0, false
-		}
-		return wall, after.Sub(before).MajorFaults, true
-	}
-	faultCol := func(faults int64, ok bool) string {
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%d", faults)
-	}
-
-	snapBefore := obs.Default().Snapshot()
-	seqWall, seqFaults, seqOK := measure(0)
-	fmt.Printf("%-12s %12s %14s %8s\n", "variant", "workers", "wall/scan", "faults")
-	fmt.Printf("%-12s %12d %12.3fms %8s\n", "sequential", 1, seqWall*1e3, faultCol(seqFaults, seqOK))
-	rec.add(Record{
-		Experiment: "parallel", Algorithm: "scan", Mode: "mmap-seq",
-		Workers: 1, SizeBytes: rows * cols * 8, WallSeconds: seqWall,
-		MajorFaults: seqFaults, FaultsValid: seqOK,
-		Counters: snapDelta(snapBefore),
-	})
-	for _, workers := range workerSweep() {
-		snapBefore = obs.Default().Snapshot()
-		wall, faults, ok := measure(workers)
-		fmt.Printf("%-12s %12d %12.3fms %8s  (%.2fx)\n", "blocked", workers, wall*1e3, faultCol(faults, ok), seqWall/wall)
-		rec.add(Record{
-			Experiment: "parallel", Algorithm: "scan", Mode: "mmap-blocked",
-			Workers: workers, SizeBytes: rows * cols * 8, WallSeconds: wall,
-			MajorFaults: faults, FaultsValid: ok,
-			Counters: snapDelta(snapBefore),
-		})
-	}
-	return nil
 }

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"m3"
-	"m3/internal/iostats"
+	"m3/internal/obs"
 )
 
 func main() {
@@ -66,7 +66,7 @@ func main() {
 	yTrain := binary(trainTbl.Labels)
 	yTest := binary(testTbl.Labels)
 
-	before, procOK := iostats.ReadProc()
+	before, procOK := obs.ReadProc()
 	start := time.Now()
 	passes := 0
 	// Estimator API: the engine threads its worker pool and storage
@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("test accuracy:  %.4f\n", model.Accuracy(testTbl.X, yTest))
 
 	if procOK == nil {
-		if after, err := iostats.ReadProc(); err == nil {
+		if after, err := obs.ReadProc(); err == nil {
 			d := after.Sub(before)
 			fmt.Printf("paging: %d major faults, %.1f MB read from storage\n",
 				d.MajorFaults, float64(d.ReadBytes)/1e6)

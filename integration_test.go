@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"m3/internal/dataset"
-	"m3/internal/iostats"
+	"m3/internal/obs"
 )
 
 func TestIntegrationGenerateTrainEvaluate(t *testing.T) {
@@ -318,7 +318,7 @@ func TestIntegrationResidencyGrowsWithTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, berr := iostats.ReadProc()
+	before, berr := obs.ReadProc()
 	if _, err := eng.Fit(context.Background(), LogisticRegression{
 		Binarize: true, Positive: 0,
 		Options: LogisticOptions{MaxIterations: 5},
@@ -333,7 +333,7 @@ func TestIntegrationResidencyGrowsWithTraining(t *testing.T) {
 		t.Error("mapping not resident after training scans")
 	}
 	if berr == nil {
-		after, err := iostats.ReadProc()
+		after, err := obs.ReadProc()
 		if err == nil {
 			d := after.Sub(before)
 			if d.UserSeconds < 0 {

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"m3/internal/vm"
 )
 
 // smallWorkload keeps simulated runs fast: 128 real rows.
@@ -54,6 +56,19 @@ func TestRunKMeansM3(t *testing.T) {
 	}
 	if !rep.Util.IOBound() {
 		t.Errorf("out-of-core k-means not I/O bound: %s", rep.Util)
+	}
+}
+
+func TestFromTimeline(t *testing.T) {
+	var tl vm.Timeline
+	tl.AddCPU(13)
+	tl.AddDisk(100)
+	u := utilization(&tl)
+	if u.ElapsedSeconds != 100 || u.CPUSeconds != 13 || u.DiskSeconds != 100 {
+		t.Errorf("utilization = %+v", u)
+	}
+	if !strings.Contains(u.String(), "disk 100%") {
+		t.Errorf("String = %q", u.String())
 	}
 }
 
@@ -460,46 +475,4 @@ func relDiff(a, b float64) float64 {
 		return 0
 	}
 	return d / m
-}
-
-// TestDistScale pins the dist experiment's acceptance shape: ≥2× at
-// 4 shards on an out-of-core dataset (each 47.5 GB shard still
-// exceeds the 32 GB worker RAM, so the win is pure parallel disk),
-// wire traffic that scales with shards but never with dataset size,
-// and a pass count identical across shard counts (the fit is
-// bit-identical, so the iterate sequence cannot depend on sharding).
-func TestDistScale(t *testing.T) {
-	w := smallWorkload(1) // NominalBytes overridden per cell
-	points, err := DistScale(PaperPC(), w, []int{1, 4}, []int64{48e9, 190e9}, DefaultDistNet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("got %d points, want 4", len(points))
-	}
-	byKey := map[[2]int64]DistScalePoint{}
-	for _, p := range points {
-		byKey[[2]int64{p.SizeBytes, int64(p.Shards)}] = p
-	}
-	big4 := byKey[[2]int64{190e9, 4}]
-	if big4.Speedup < 2 {
-		t.Errorf("190GB at 4 shards: speedup %.2fx, want >= 2x", big4.Speedup)
-	}
-	if byKey[[2]int64{190e9, 1}].Speedup != 1 {
-		t.Errorf("1-shard baseline speedup = %v, want 1", byKey[[2]int64{190e9, 1}].Speedup)
-	}
-	// Per-round bytes depend on shards and model width only.
-	if a, b := byKey[[2]int64{48e9, 4}].BytesPerRound, big4.BytesPerRound; a != b {
-		t.Errorf("bytes/round varies with dataset size: %d vs %d", a, b)
-	}
-	if s1, s4 := byKey[[2]int64{190e9, 1}].Rounds, big4.Rounds; s1 != s4 {
-		t.Errorf("rounds differ across shard counts: %d vs %d", s1, s4)
-	}
-
-	if _, err := DistScale(PaperPC(), w, []int{2, 4}, []int64{48e9}, DefaultDistNet()); err == nil {
-		t.Error("missing 1-shard baseline not rejected")
-	}
-	if _, err := DistScale(PaperPC(), w, []int{1}, []int64{48e9}, DistNetModel{}); err == nil {
-		t.Error("zero-bandwidth net model not rejected")
-	}
 }

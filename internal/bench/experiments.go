@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"m3/internal/iostats"
+	"m3/internal/obs"
 	"m3/internal/perfmodel"
 )
 
@@ -40,7 +40,7 @@ func (c Fig1aConfig) withDefaults() Fig1aConfig {
 type Fig1aPoint struct {
 	SizeBytes int64
 	Seconds   float64
-	Util      iostats.Utilization
+	Util      obs.Utilization
 	Passes    int
 }
 
@@ -151,10 +151,10 @@ func Fig1b(machine Machine, w Workload) ([]Fig1bRow, error) {
 // IOBound regenerates the §3.1 utilization finding: an out-of-core
 // logistic regression run whose disk is saturated while the CPU
 // idles.
-func IOBound(machine Machine, w Workload) (iostats.Utilization, error) {
+func IOBound(machine Machine, w Workload) (obs.Utilization, error) {
 	rep, err := RunLogRegM3(machine, w)
 	if err != nil {
-		return iostats.Utilization{}, err
+		return obs.Utilization{}, err
 	}
 	return rep.Util, nil
 }

@@ -6,10 +6,10 @@ import (
 	"fmt"
 
 	"m3/internal/infimnist"
-	"m3/internal/iostats"
 	"m3/internal/mat"
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/logreg"
+	"m3/internal/obs"
 	"m3/internal/optimize"
 	"m3/internal/store"
 	"m3/internal/vm"
@@ -89,7 +89,7 @@ type Report struct {
 	// Passes counts full scans over the data.
 	Passes int
 	// Util is the resource-utilization profile (M3 runs only).
-	Util iostats.Utilization
+	Util obs.Utilization
 	// Model quality numbers for cross-run validation.
 	FinalValue float64
 }
@@ -118,6 +118,16 @@ func pagedMatrix(machine Machine, w Workload, data []float64) (*mat.Dense, *stor
 	return x, ps, nil
 }
 
+// utilization reads a simulated timeline as the paper's §3.1
+// utilization report.
+func utilization(tl *vm.Timeline) obs.Utilization {
+	return obs.Utilization{
+		ElapsedSeconds: tl.Elapsed(),
+		CPUSeconds:     tl.CPUSeconds(),
+		DiskSeconds:    tl.DiskSeconds(),
+	}
+}
+
 // finishReport folds CPU accounting into the store's timeline and
 // produces the report. CPU seconds = passes × nominal bytes / scan
 // throughput: each pass streams the full nominal dataset through the
@@ -130,7 +140,7 @@ func finishReport(name string, machine Machine, w Workload, ps *store.Paged, pas
 		Name:       name,
 		Seconds:    tl.Elapsed(),
 		Passes:     passes,
-		Util:       iostats.FromTimeline(tl),
+		Util:       utilization(tl),
 		FinalValue: finalValue,
 	}
 }
@@ -228,7 +238,7 @@ func RunAccessPattern(machine Machine, w Workload, passes int) (sequential, rand
 			Name:    name,
 			Seconds: tl.Elapsed(),
 			Passes:  passes,
-			Util:    iostats.FromTimeline(&tl),
+			Util:    utilization(&tl),
 		}, nil
 	}
 
@@ -300,7 +310,7 @@ func ReadAheadAblation(machine Machine, passes int) (with, without Report, err e
 			Name:    name,
 			Seconds: tl.Elapsed(),
 			Passes:  passes,
-			Util:    iostats.FromTimeline(&tl),
+			Util:    utilization(&tl),
 		}, nil
 	}
 	with, err = run("readahead", 512)

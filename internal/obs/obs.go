@@ -1,10 +1,10 @@
 // Package obs is M3's zero-dependency observability layer: spans,
 // unified metrics and /proc collection for *real* runs — the
-// counterpart of the simulated instrumentation in internal/vm and
-// internal/iostats. The paper's core methodology is measurement
-// (§3.1: out-of-core M3 is I/O bound — disk 100% busy, CPU ~13%);
-// this package makes the same observations cheap to take on live
-// engines, trainers and servers.
+// counterpart of the simulated instrumentation in internal/vm, whose
+// timelines internal/bench reads as the same Utilization report. The
+// paper's core methodology is measurement (§3.1: out-of-core M3 is
+// I/O bound — disk 100% busy, CPU ~13%); this package makes the same
+// observations cheap to take on live engines, trainers and servers.
 //
 // Three surfaces:
 //

@@ -126,7 +126,7 @@ func ReadDisks() (DiskSnapshot, error) {
 }
 
 // ParseDiskstats parses /proc/diskstats content. Per the kernel's
-// Documentation/admin-guide/iostats.rst the fields after major, minor
+// admin guide ("I/O statistics fields") the fields after major, minor
 // and device name are: reads completed, reads merged, sectors read,
 // ms reading, writes completed, writes merged, sectors written,
 // ms writing, ios in progress, ms doing I/O (io_ticks), ...

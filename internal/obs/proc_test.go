@@ -152,6 +152,30 @@ func TestReadProcSmoke(t *testing.T) {
 	}
 }
 
+func TestUtilizationPercents(t *testing.T) {
+	u := Utilization{ElapsedSeconds: 100, CPUSeconds: 13, DiskSeconds: 100}
+	if got := u.CPUPercent(); got != 13 {
+		t.Errorf("CPU%% = %v", got)
+	}
+	if got := u.DiskPercent(); got != 100 {
+		t.Errorf("Disk%% = %v", got)
+	}
+	if !u.IOBound() {
+		t.Error("paper's observed profile not classified as I/O bound")
+	}
+	var zero Utilization
+	if zero.CPUPercent() != 0 || zero.DiskPercent() != 0 || zero.IOBound() {
+		t.Error("zero utilization misbehaves")
+	}
+}
+
+func TestUtilizationNotIOBound(t *testing.T) {
+	u := Utilization{ElapsedSeconds: 100, CPUSeconds: 100, DiskSeconds: 20}
+	if u.IOBound() {
+		t.Error("CPU-bound phase classified as I/O bound")
+	}
+}
+
 func TestProcCollectorEmitsCounters(t *testing.T) {
 	if _, err := ReadProc(); err != nil {
 		t.Skipf("/proc unavailable: %v", err)

@@ -114,7 +114,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // ObsRegistry returns the server's metrics registry — what GET
 // /metrics exposes in Prometheus text. Useful for embedding the
-// server's counters into another report (m3bench serve records).
+// server's counters into another report.
 func (s *Server) ObsRegistry() *obs.Registry { return s.obsReg }
 
 // Drain begins graceful shutdown: health flips to 503 (so load
