@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -427,6 +429,35 @@ func TestMultiCoreRegimes(t *testing.T) {
 	for _, want := range []string{"workers", "speedup", "out-of-core", "in-RAM"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("multicore render missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestMultiCoreIsDeterministic: the sweep is a simulation, so its
+// points depend on the configuration alone — not on the run, nor on
+// how many host threads the Go scheduler has.
+func TestMultiCoreIsDeterministic(t *testing.T) {
+	cfg := MultiCoreConfig{
+		Workload:   Workload{ActualRows: 64, Seed: 3, NominalBytes: 1},
+		SizesBytes: []int64{64e9, 128e9, 190e9},
+		Passes:     2,
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []MultiCorePoint
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 3; run++ {
+			got, err := MultiCore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS=%d run %d:\n got %+v\nwant %+v", procs, run, got, want)
+			}
 		}
 	}
 }

@@ -56,6 +56,9 @@ func Locality(w Workload) ([]LocalityReport, error) {
 		if err != nil {
 			return LocalityReport{}, err
 		}
+		// One scanner: the reference string is the sequential one, not
+		// an interleaving chosen by the host scheduler.
+		x.SetWorkersHint(1)
 		if err := run(x); err != nil {
 			return LocalityReport{}, err
 		}

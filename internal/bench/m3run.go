@@ -11,7 +11,6 @@ import (
 	"m3/internal/ml/logreg"
 	"m3/internal/obs"
 	"m3/internal/optimize"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -96,8 +95,8 @@ type Report struct {
 
 // pagedMatrix builds the nominally-sized paged store over the actual
 // matrix.
-func pagedMatrix(machine Machine, w Workload, data []float64) (*mat.Dense, *store.Paged, error) {
-	ps, err := store.NewPaged(data, store.PagedConfig{
+func pagedMatrix(machine Machine, w Workload, data []float64) (*mat.Dense, *vm.Paged, error) {
+	ps, err := vm.NewPaged(data, vm.PagedConfig{
 		NominalBytes: w.NominalBytes,
 		VM:           machine.vmConfig(w.NominalBytes),
 		ReadOnly:     true,
@@ -112,8 +111,8 @@ func pagedMatrix(machine Machine, w Workload, data []float64) (*mat.Dense, *stor
 	// The paper's timed runs are modelled as one scanner: a single
 	// stream keeps the simulated timings exactly deterministic, which
 	// the figure-regeneration suite (and the runtime-prediction fits)
-	// rely on. The multicore experiment opts into parallel faulting
-	// explicitly with per-worker streams.
+	// rely on. The multicore experiment models parallel faulting on
+	// its own, with per-worker streams on a fixed schedule.
 	x.SetWorkersHint(1)
 	return x, ps, nil
 }
@@ -132,7 +131,7 @@ func utilization(tl *vm.Timeline) obs.Utilization {
 // produces the report. CPU seconds = passes × nominal bytes / scan
 // throughput: each pass streams the full nominal dataset through the
 // inner loop.
-func finishReport(name string, machine Machine, w Workload, ps *store.Paged, passes int, finalValue float64) Report {
+func finishReport(name string, machine Machine, w Workload, ps *vm.Paged, passes int, finalValue float64) Report {
 	tl := ps.Timeline()
 	cpu := float64(passes) * float64(w.NominalBytes) / machine.CPUScanBytesPerSec
 	tl.AddCPU(cpu)

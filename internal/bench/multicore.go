@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"m3/internal/exec"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -13,7 +11,7 @@ import (
 // paper observes that out-of-core M3 leaves the CPU ~13% utilized on
 // an 8-thread machine because the disk is the bottleneck; this
 // experiment makes that observation explorable by scanning one paged
-// dataset with W parallel workers (per-worker read-ahead streams) and
+// dataset with W simulated workers (per-worker read-ahead streams) and
 // modelling elapsed time as max(slowest worker CPU, disk busy).
 type MultiCoreConfig struct {
 	// Machine is the M3 platform (default PaperPC).
@@ -74,7 +72,7 @@ type MultiCorePoint struct {
 }
 
 // MultiCore sweeps workers × nominal dataset size over a simulated
-// paged store scanned through the shared parallel execution layer,
+// paged store scanned by W simulated workers on a fixed schedule,
 // with one read-ahead stream per worker. In the in-RAM regime the
 // steady-state passes never fault, so elapsed time is the slowest CPU
 // track and speedup approaches the worker count; out-of-core every
@@ -109,9 +107,17 @@ func MultiCore(cfg MultiCoreConfig) ([]MultiCorePoint, error) {
 }
 
 // runPoint measures one (size, workers) cell on a fresh paged store.
+//
+// The simulated machine runs a static striped schedule, like OpenMP's:
+// block i belongs to worker i mod W, which owns CPU track i mod W and
+// read-ahead stream i mod W. Each pass touches the blocks in block
+// order, so the shared cache sees one fixed interleaving of the W
+// streams and a point is a function of its inputs alone — never of the
+// host scheduler, which a real goroutine pool would consult to decide
+// which worker claims which block.
 func (c MultiCoreConfig) runPoint(data []float64, size int64, workers int) (MultiCorePoint, error) {
 	w := c.Workload
-	ps, err := store.NewPaged(data, store.PagedConfig{
+	ps, err := vm.NewPaged(data, vm.PagedConfig{
 		NominalBytes: size,
 		VM:           c.Machine.vmConfig(size),
 		ReadOnly:     true,
@@ -121,51 +127,38 @@ func (c MultiCoreConfig) runPoint(data []float64, size int64, workers int) (Mult
 	}
 	defer ps.Close()
 
-	// Each scanned row stands for size/ActualRows nominal bytes. Its
-	// compute cost is accounted on a CPU track chosen by block ordinal
-	// — static striped scheduling, like OpenMP's — rather than by
-	// which pool goroutine happened to claim the block: the simulated
-	// per-block compute takes ~zero real time, so dynamic claiming
-	// reflects the host scheduler, not the modelled machine, and a
-	// static assignment keeps the CPU model deterministic.
-	cpuPerRow := float64(size) / float64(w.ActualRows) / c.Machine.CPUScanBytesPerSec
-	cpu := make([]float64, workers)
-	var mu sync.Mutex
-	scan := exec.RowScan{
-		Store:      ps,
+	// The partition an engine scan of this matrix would use.
+	blocks := exec.RowScan{
 		Rows:       w.ActualRows,
 		Cols:       w.Features,
 		Stride:     w.Features,
-		Workers:    workers,
 		BlockBytes: c.BlockBytes,
+	}.Blocks()
+	streams := make([]*vm.PagedStream, workers)
+	for i := range streams {
+		streams[i] = ps.OpenStream()
 	}
-	trackOf := make(map[int]int) // block Lo -> assigned CPU track
-	for i, b := range scan.Blocks() {
-		trackOf[b.Lo] = i % workers
+	// Each scanned row stands for size/ActualRows nominal bytes of
+	// compute on its worker's track.
+	cpuPerRow := float64(size) / float64(w.ActualRows) / c.Machine.CPUScanBytesPerSec
+	cpu := make([]float64, workers)
+	scan := func() (stall float64) {
+		for i, b := range blocks {
+			stall += streams[i%workers].Touch(b.Lo*w.Features, b.Len()*w.Features)
+			cpu[i%workers] += float64(b.Len()) * cpuPerRow
+		}
+		return stall
 	}
-	scan.OnBlock = func(_ int, b exec.Block, _ float64) {
-		mu.Lock()
-		cpu[trackOf[b.Lo]] += float64(b.Len()) * cpuPerRow
-		mu.Unlock()
-	}
-	nop := func(int, []float64) {}
 
 	// Warm-up pass: unmeasured, so the in-RAM regime starts with a hot
 	// cache (the trainer steady state) instead of billing the one-off
 	// cold load against every worker count.
-	if _, err := exec.ForEachRow(scan, nop); err != nil {
-		return MultiCorePoint{}, err
-	}
+	scan()
 
 	var elapsed, totalCPU, totalDisk float64
 	for pass := 0; pass < c.Passes; pass++ {
-		for i := range cpu {
-			cpu[i] = 0
-		}
-		stall, err := exec.ForEachRow(scan, nop)
-		if err != nil {
-			return MultiCorePoint{}, err
-		}
+		clear(cpu)
+		stall := scan()
 		// Per-pass phase model: all worker tracks overlap the disk;
 		// the slowest resource sets the pass's wall time, and passes
 		// compose sequentially.

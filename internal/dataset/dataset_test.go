@@ -344,10 +344,9 @@ func TestLargeSparseDatasetOpens(t *testing.T) {
 }
 
 // TestMappedDatasetSupportsParallelLayer: the matrix returned by
-// Dataset.X must expose the real mapped backend — concurrent-safe
-// Touch accounting and ranged advice — so the chunked-execution layer
-// parallelizes and prefetches on the Engine's mmap training path
-// instead of silently degrading to a heap facade.
+// Dataset.X must expose the real mapped backend — ranged advice — so
+// the chunked-execution layer prefetches on the Engine's mmap training
+// path instead of silently degrading to a heap facade.
 func TestMappedDatasetSupportsParallelLayer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.m3")
 	data := make([]float64, 6*4)
@@ -364,9 +363,6 @@ func TestMappedDatasetSupportsParallelLayer(t *testing.T) {
 	defer ds.Close()
 	x := ds.X()
 	s := x.Store()
-	if c, ok := s.(store.ConcurrentToucher); !ok || !c.ConcurrentSafe() {
-		t.Error("mapped dataset store is not concurrent-safe; parallel scans will clamp to one worker")
-	}
 	ra, ok := s.(store.RangeAdviser)
 	if !ok {
 		t.Fatal("mapped dataset store has no AdviseRange; block prefetch is dead")

@@ -51,24 +51,15 @@
 // The layer integrates with the storage stack rather than sitting on
 // top of it:
 //
-//   - every block's access is declared through store.Store Touch
-//     accounting, so the simulated paged backend keeps exact fault
-//     counts and stall seconds;
+//   - every block declares its access with one store.Store Touch, from
+//     whichever pool worker runs it, so a backend's accounting must be
+//     safe for concurrent use; a backend that models stalls (the
+//     simulated vm.Paged) returns them and the scan sums them in block
+//     order;
 //   - when the backing store supports ranged madvise
 //     (store.RangeAdviser — the real mmap backend), each worker
 //     issues mmap.WillNeed for the next block before computing on the
-//     current one, overlapping kernel read-ahead with compute;
-//   - backends whose accounting is not safe under concurrency (trace
-//     recorders) are detected via store.ConcurrentToucher and scanned
-//     by a single worker — same blocks, same ordered reduce,
-//     identical results;
-//   - backends whose paging model keeps per-scanner read-ahead state
-//     (store.StreamToucher — the simulated Paged store) hand each
-//     pool worker a private stream, so parallel faulting can be
-//     studied without concurrent scanners destroying one another's
-//     sequential-detection state. With one worker the store's default
-//     Touch path is used, keeping single-stream simulated timings
-//     bit-identical to a sequential scan.
+//     current one, overlapping kernel read-ahead with compute.
 package exec
 
 import (
@@ -209,9 +200,9 @@ func MapReduce[T any](ctx context.Context, blocks []Block, workers int, alloc fu
 
 // mapReduceWorker is MapReduce into a root the caller supplies, with
 // the pool-worker index threaded to process: worker w runs on exactly
-// one goroutine at a time, so per-worker resources (a
-// store.TouchStream, a CPU accumulator) can be indexed by w without
-// further synchronization. The sequential path always reports worker 0.
+// one goroutine at a time, so per-worker resources (a fused kernel
+// chain, a trace track) can be indexed by w without further
+// synchronization. The sequential path always reports worker 0.
 func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, out T, alloc func() T, reset func(T), process func(state T, worker int, b Block), merge func(dst, src T)) error {
 	if len(blocks) == 0 {
 		return ctxErr(ctx)
@@ -363,11 +354,7 @@ type RowScan struct {
 	// Rows and Cols give the scanned shape; Stride is the element
 	// distance between row starts.
 	Rows, Cols, Stride int
-	// Workers caps the pool (<= 0: NumCPU). Stores that are not
-	// store.ConcurrentToucher-safe are always scanned by one worker;
-	// stream-capable stores (store.StreamToucher, e.g. the simulated
-	// Paged backend) run fully parallel with one private stream per
-	// worker.
+	// Workers caps the pool (<= 0: NumCPU).
 	Workers int
 	// BlockBytes overrides the target block payload size.
 	BlockBytes int
@@ -390,19 +377,10 @@ type RowScan struct {
 	// and groups exactly as those rows do inside the global scan, so
 	// its group partials are interchangeable with local ones.
 	GroupRows int
-	// OnBlock, when non-nil, is invoked by the processing worker after
-	// each block completes (Touch accounting and the block computation
-	// both done) with the pool-worker index, the block and the block's
-	// simulated stall. A given worker index never runs concurrently
-	// with itself, so callbacks may write to worker-indexed state
-	// without locking; different workers do run concurrently. The
-	// multicore bench uses this to account per-worker CPU tracks.
-	OnBlock func(worker int, b Block, stall float64)
 	// Name labels the scan in obs traces: the scan span and its
-	// per-worker block events carry it. Empty means "scan". It is the
-	// tracing generalization of OnBlock — when a process tracer is
-	// installed (obs.StartTrace) every scan reports per-worker block
-	// timings without the caller wiring a callback.
+	// per-worker block events carry it. Empty means "scan". When a
+	// process tracer is installed (obs.StartTrace) every scan reports
+	// per-worker block timings.
 	Name string
 }
 
@@ -460,11 +438,8 @@ func (s RowScan) srcCols() int {
 }
 
 // EffectiveWorkers resolves the pool size this scan will actually
-// run with: the Workers knob (<= 0: NumCPU), clamped to 1 for
-// backends whose accounting cannot race (no store.ConcurrentToucher,
-// or one reporting false), and to the block count — a pool larger
-// than the partition has idle workers. The simulated Paged store is
-// concurrent-safe (per-worker streams), so it is NOT clamped.
+// run with: the Workers knob (<= 0: NumCPU), clamped to the block
+// count — a pool larger than the partition has idle workers.
 func (s RowScan) EffectiveWorkers() int {
 	return s.effectiveWorkers(len(s.Blocks()))
 }
@@ -472,9 +447,6 @@ func (s RowScan) EffectiveWorkers() int {
 // effectiveWorkers is EffectiveWorkers with the block count already
 // in hand, so callers that hold the partition don't recompute it.
 func (s RowScan) effectiveWorkers(nblocks int) int {
-	if c, ok := s.Store.(store.ConcurrentToucher); !ok || !c.ConcurrentSafe() {
-		return 1
-	}
 	w := Workers(s.Workers)
 	if nblocks > 0 && w > nblocks {
 		w = nblocks
@@ -681,21 +653,6 @@ func reduceRowScan[T any](s RowScan, alloc func() T, reset func(T), fn func(stat
 		rowbuf = make([][]float64, workers)
 	}
 
-	// Stream-capable stores give every pool worker a private stream,
-	// so concurrent block scans keep their own sequential-detection
-	// state (read-ahead windows survive interleaving). Everything
-	// else — and any single-worker scan — goes through the store's
-	// default Touch path, which keeps one-worker simulated timings
-	// bit-identical to a plain sequential scan.
-	touch := func(_ int, start, n int) float64 { return s.Store.Touch(start, n) }
-	if st, ok := s.Store.(store.StreamToucher); ok && workers > 1 {
-		streams := make([]store.TouchStream, workers)
-		for i := range streams {
-			streams[i] = st.OpenStream()
-		}
-		touch = func(w int, start, n int) float64 { return streams[w].Touch(start, n) }
-	}
-
 	// Grouped fold bookkeeping. The merge callback below runs on a
 	// single goroutine in ascending block order (mapReduceWorker's
 	// contract), so plain captured state suffices: when a block from a
@@ -752,7 +709,7 @@ func reduceRowScan[T any](s RowScan, alloc func() T, reset func(T), fn func(stat
 			}
 			start := s.Off + b.Lo*s.Stride
 			n := (b.Len()-1)*s.Stride + srcCols
-			st.stall = touch(w, start, n)
+			st.stall = s.Store.Touch(start, n)
 			if s.Transform == nil {
 				fn(st.user, b.Lo, b.Hi, data[start:start+n], s.Stride)
 			} else {
@@ -768,9 +725,6 @@ func reduceRowScan[T any](s RowScan, alloc func() T, reset func(T), fn func(stat
 					row := k(buf, data[rs:rs+srcCols])
 					fn(st.user, i, i+1, row, s.Cols)
 				}
-			}
-			if s.OnBlock != nil {
-				s.OnBlock(w, b, st.stall)
 			}
 			if tr != nil {
 				tr.WorkerEvent(w, spanName, t0, map[string]any{

@@ -3,10 +3,8 @@ package exec_test
 import (
 	"context"
 	"m3/internal/fit"
-	"math"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"m3/internal/exec"
@@ -16,6 +14,7 @@ import (
 	"m3/internal/ml/logreg"
 	"m3/internal/mmap"
 	"m3/internal/store"
+	"m3/internal/vm"
 )
 
 func TestPartitionCoversExactlyOnce(t *testing.T) {
@@ -224,13 +223,13 @@ func TestConcurrentScanMappedStore(t *testing.T) {
 }
 
 // newTestPaged builds a paged store plus matrix view for scan tests.
-func newTestPaged(t *testing.T, rows, cols int) ([]float64, *store.Paged, *mat.Dense) {
+func newTestPaged(t *testing.T, rows, cols int) ([]float64, *vm.Paged, *mat.Dense) {
 	t.Helper()
 	data := make([]float64, rows*cols)
 	for i := range data {
 		data[i] = float64(i)
 	}
-	ps, err := store.NewPaged(data, store.PagedConfig{ReadOnly: true})
+	ps, err := vm.NewPaged(data, vm.PagedConfig{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,19 +240,14 @@ func newTestPaged(t *testing.T, rows, cols int) ([]float64, *store.Paged, *mat.D
 	return data, ps, x
 }
 
-// TestPagedStoreScansParallel: the simulated Paged store is
-// concurrent-safe via per-worker streams, so a multi-worker scan
-// really runs with more than one effective worker — and still reduces
-// to bit-identical values with intact fault accounting.
+// TestPagedStoreScansParallel: a multi-worker scan over the simulated
+// Paged store reduces to bit-identical values with intact fault
+// accounting.
 func TestPagedStoreScansParallel(t *testing.T) {
 	const rows, cols = 4096, 32 // many pages so the partition has >4 blocks
 	data, ps, x := newTestPaged(t, rows, cols)
 
-	scan := x.Scan(4)
-	if got := scan.EffectiveWorkers(); got != 4 {
-		t.Fatalf("EffectiveWorkers = %d, want 4 (Paged must not clamp)", got)
-	}
-	sum, stall, _ := exec.ReduceRows(scan,
+	sum, stall, _ := exec.ReduceRows(x.Scan(4),
 		func() *float64 { return new(float64) },
 		func(s *float64, i int, row []float64) { *s += row[0] },
 		func(dst, src *float64) { *dst += *src })
@@ -281,60 +275,12 @@ func TestPagedStoreScansParallel(t *testing.T) {
 	}
 }
 
-// unsafeStore wraps a Store, hiding any ConcurrentToucher /
-// StreamToucher it might implement — a stand-in for order-dependent
-// backends like trace recorders.
-type unsafeStore struct{ store.Store }
-
-// TestEffectiveWorkersClamping: stores without concurrent-safe
-// accounting still clamp to one worker; concurrent-safe ones clamp to
-// the block count.
+// TestEffectiveWorkersClamping: the pool clamps to the block count.
 func TestEffectiveWorkersClamping(t *testing.T) {
 	_, _, x := newTestPaged(t, 64, 32)
-	one := exec.RowScan{Store: unsafeStore{store.NewHeap(64 * 32)}, Rows: 64, Cols: 32, Stride: 32, Workers: 8}
-	if got := one.EffectiveWorkers(); got != 1 {
-		t.Errorf("non-concurrent-safe store: EffectiveWorkers = %d want 1", got)
-	}
 	small := x.Scan(64) // 64 rows of 32 cols: one page-budget block
 	if got, blocks := small.EffectiveWorkers(), len(small.Blocks()); got != blocks {
 		t.Errorf("EffectiveWorkers = %d want block count %d", got, blocks)
-	}
-}
-
-// TestOnBlockReportsEveryBlock: the per-block hook fires exactly once
-// per block with a valid worker index and the block's stall.
-func TestOnBlockReportsEveryBlock(t *testing.T) {
-	const rows, cols = 2048, 32
-	_, _, x := newTestPaged(t, rows, cols)
-	scan := x.Scan(4)
-	workers := scan.EffectiveWorkers()
-
-	var mu sync.Mutex
-	seen := map[int]int{}
-	var stallSum float64
-	scan.OnBlock = func(w int, b exec.Block, stall float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if w < 0 || w >= workers {
-			t.Errorf("worker index %d out of [0,%d)", w, workers)
-		}
-		seen[b.Lo]++
-		stallSum += stall
-	}
-	stall, err := exec.ForEachRow(scan, func(int, []float64) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range scan.Blocks() {
-		if seen[b.Lo] != 1 {
-			t.Errorf("block at row %d seen %d times, want 1", b.Lo, seen[b.Lo])
-		}
-	}
-	// stallSum accumulates in completion order, the scan's total in
-	// block order — same addends, different association, so compare
-	// with a tolerance rather than bit-exactly.
-	if math.Abs(stallSum-stall) > 1e-9*math.Max(1, stall) {
-		t.Errorf("OnBlock stalls sum to %v, scan reported %v", stallSum, stall)
 	}
 }
 

@@ -5,8 +5,8 @@
 // out-of-core.
 //
 // Row-granular accessors (Row, ForEachRow, MulVec, ...) route their
-// accesses through the store's Touch hooks so the paged backend can
-// account faults; element accessors (At, Set) are unaccounted fast
+// accesses through the store's Touch hooks so the simulated vm.Paged
+// can account faults; element accessors (At, Set) are unaccounted fast
 // paths for small matrices such as model parameters.
 package mat
 

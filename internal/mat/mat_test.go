@@ -264,7 +264,7 @@ func TestDenseOverMappedStore(t *testing.T) {
 
 func TestDenseOverPagedStoreAccountsStalls(t *testing.T) {
 	data := make([]float64, 4096) // 8 pages at 4 KiB
-	ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+	ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 		PageSize:          4096,
 		CacheBytes:        2 * 4096, // 2-page cache → thrash
 		Disk:              vm.DiskModel{BandwidthBytes: 1e6},
@@ -316,8 +316,8 @@ func TestColumnTraversalThrashesPagedStore(t *testing.T) {
 	// Row-major matrix, tiny page cache: a full column traversal
 	// must fault far more than a row scan of the same element count.
 	data := make([]float64, 64*64)
-	newPaged := func() *store.Paged {
-		ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+	newPaged := func() *vm.Paged {
+		ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 			PageSize:          512, // 64 elements per page = one row
 			CacheBytes:        4 * 512,
 			Disk:              vm.DiskModel{BandwidthBytes: 1e6},
@@ -373,7 +373,7 @@ func TestPropertyBackendTransparency(t *testing.T) {
 
 		cp := make([]float64, len(data))
 		copy(cp, data)
-		ps, err := store.NewPaged(cp, store.PagedConfig{VM: vm.Config{
+		ps, err := vm.NewPaged(cp, vm.PagedConfig{VM: vm.Config{
 			PageSize: 64, CacheBytes: 128,
 			Disk: vm.DiskModel{BandwidthBytes: 1e6},
 		}})

@@ -10,7 +10,6 @@ import (
 	"m3/internal/blas"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -240,7 +239,7 @@ func TestPagedBackendSameClustering(t *testing.T) {
 		data[i*2] = xh.At(i, 0)
 		data[i*2+1] = xh.At(i, 1)
 	}
-	ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+	ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 		PageSize:   128,
 		CacheBytes: 256,
 		Disk:       vm.DiskModel{BandwidthBytes: 1e6},

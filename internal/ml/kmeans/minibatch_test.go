@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"m3/internal/mat"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -96,9 +95,9 @@ func TestMiniBatchTouchesFarLessDataThanLloyd(t *testing.T) {
 	// out-of-core matrix than full Lloyd. Compare element bytes
 	// touched by 10 Lloyd iterations vs 100 mini-batch steps of 16
 	// rows on a 512-row paged matrix.
-	mk := func() (*mat.Dense, *store.Paged) {
+	mk := func() (*mat.Dense, *vm.Paged) {
 		data := make([]float64, 512*64)
-		ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+		ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 			PageSize:   4096,
 			CacheBytes: 8 * 4096, // tiny cache → every pass re-reads
 			Disk:       vm.DiskModel{BandwidthBytes: 1e9},

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"m3/internal/mat"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -174,7 +173,7 @@ func TestTrainOverPagedStore(t *testing.T) {
 		data[2*i] = xh.At(i, 0)
 		data[2*i+1] = xh.At(i, 1)
 	}
-	ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+	ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 		PageSize: 256, CacheBytes: 512,
 		Disk: vm.DiskModel{BandwidthBytes: 1e6},
 	}})

@@ -157,7 +157,7 @@ func TestTrainOverPagedStoreSameModel(t *testing.T) {
 		data[i*2] = xh.At(i, 0)
 		data[i*2+1] = xh.At(i, 1)
 	}
-	ps, err := store.NewPaged(data, store.PagedConfig{VM: vm.Config{
+	ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
 		PageSize:   256,
 		CacheBytes: 512, // force paging
 		Disk:       vm.DiskModel{BandwidthBytes: 1e6},

@@ -14,6 +14,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"m3/internal/mmap"
 	"m3/internal/store"
@@ -30,9 +31,13 @@ type Trace struct {
 
 // Recorder wraps a store.Store and appends every Touch/TouchWrite to
 // a trace while forwarding to the underlying backend. It implements
-// store.Store.
+// store.Store and is safe for concurrent use; a multi-worker scan
+// records every page it touches, in the order the workers happen to
+// touch them, so a study that needs the sequential reference string
+// scans with one worker.
 type Recorder struct {
 	store.Store
+	mu    sync.Mutex // guards trace.Pages
 	trace Trace
 }
 
@@ -52,9 +57,11 @@ func (r *Recorder) record(start, n int) {
 	}
 	first := int64(start) * 8 / r.trace.PageSize
 	last := (int64(start+n)*8 - 1) / r.trace.PageSize
+	r.mu.Lock()
 	for p := first; p <= last; p++ {
 		r.trace.Pages = append(r.trace.Pages, p)
 	}
+	r.mu.Unlock()
 }
 
 // Touch records and forwards.
@@ -72,7 +79,8 @@ func (r *Recorder) TouchWrite(start, n int) float64 {
 // Advise forwards.
 func (r *Recorder) Advise(a mmap.Advice) error { return r.Store.Advise(a) }
 
-// Trace returns the recorded trace.
+// Trace returns the recorded trace. It must not be read while a scan
+// is still recording.
 func (r *Recorder) Trace() *Trace { return &r.trace }
 
 // Len returns the number of recorded page references.

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"m3/internal/exec"
 	"m3/internal/mat"
 	"m3/internal/store"
 )
@@ -156,6 +158,27 @@ func TestRecorderForwardsWrites(t *testing.T) {
 	}
 	if h.Stats().BytesTouched != 512*8 {
 		t.Errorf("underlying store not forwarded: %d", h.Stats().BytesTouched)
+	}
+}
+
+// TestRecorderParallelScanRecordsEveryPage: a 4-worker scan over a
+// Recorder (run it under -race) records the same multiset of pages as
+// the 1-worker scan; only the order may differ.
+func TestRecorderParallelScanRecordsEveryPage(t *testing.T) {
+	const rows, cols = 1024, 64 // 512 KiB: several 256 KiB blocks
+	record := func(workers int) []int64 {
+		rec := NewRecorder(store.NewHeap(rows*cols), 4096)
+		scan := exec.RowScan{Store: rec, Rows: rows, Cols: cols, Stride: cols, Workers: workers, BlockBytes: 16 << 10}
+		if _, err := exec.ForEachRow(scan, func(int, []float64) {}); err != nil {
+			t.Fatal(err)
+		}
+		pages := rec.Trace().Pages
+		slices.Sort(pages)
+		return pages
+	}
+	one, four := record(1), record(4)
+	if len(one) == 0 || !slices.Equal(one, four) {
+		t.Errorf("4-worker scan recorded %d pages, 1-worker %d; multisets differ", len(four), len(one))
 	}
 }
 

@@ -11,6 +11,11 @@
 // at disk bandwidth, sequential scans trigger read-ahead, a working
 // set below RAM never faults twice — is exactly what produces the
 // paper's two-slope linear curve.
+//
+// Paged puts a Memory behind the store.Store interface, so the real
+// trainers run unchanged over a simulated dataset of any nominal size.
+// The engine and the daemons never link this package; the
+// paper-figure experiments (internal/bench) and tests do.
 package vm
 
 import "fmt"

@@ -13,8 +13,8 @@ package vm
 // interleave in the shared cache. All mutation happens under the
 // Memory's mutex, so Streams are safe for concurrent use, but sharing
 // one Stream between scanners merges their access patterns and
-// defeats read-ahead, which is exactly what the per-worker streams in
-// internal/exec exist to avoid.
+// defeats read-ahead, which is why the multicore sweep in
+// internal/bench gives each simulated worker its own PagedStream.
 type Stream struct {
 	mem       *Memory
 	lastFault int64 // page of the previous major fault (-2 = none)
