@@ -160,48 +160,6 @@ func BenchmarkAblationDisk(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRAM sweeps the RAM budget at a fixed 64 GB
-// dataset — the Figure 1a knee seen from the memory axis.
-func BenchmarkAblationRAM(b *testing.B) {
-	sizes := []int64{16e9, 48e9, 80e9}
-	for _, ram := range sizes {
-		b.Run(fmt.Sprintf("ram=%dGB", ram/1e9), func(b *testing.B) {
-			var sim float64
-			for i := 0; i < b.N; i++ {
-				reports, err := bench.RAMAblation(benchWorkload(64e9), []int64{ram})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = reports[0].Seconds
-			}
-			b.ReportMetric(sim, "sim_s")
-		})
-	}
-}
-
-// BenchmarkAblationReadAhead quantifies kernel-style sequential
-// read-ahead: the same out-of-core scans with the adaptive window on
-// vs pinned to a single page.
-func BenchmarkAblationReadAhead(b *testing.B) {
-	for _, mode := range []string{"on", "off"} {
-		b.Run(mode, func(b *testing.B) {
-			var sim float64
-			for i := 0; i < b.N; i++ {
-				with, without, err := bench.ReadAheadAblation(bench.PaperPC(), 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode == "on" {
-					sim = with.Seconds
-				} else {
-					sim = without.Seconds
-				}
-			}
-			b.ReportMetric(sim, "sim_s")
-		})
-	}
-}
-
 // BenchmarkAblationOptimizer compares L-BFGS against plain gradient
 // descent on the digit problem: data passes to reach equal loss —
 // the design choice behind the paper's use of mlpack's L-BFGS.
@@ -218,7 +176,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	b.Run("lbfgs", func(b *testing.B) {
 		var passes int
 		for i := 0; i < b.N; i++ {
-			obj, err := logreg.NewObjective(x, y, 1e-4, true)
+			obj, err := logreg.NewParallelObjective(x, y, 1e-4, true, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -233,7 +191,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	b.Run("gd", func(b *testing.B) {
 		var passes int
 		for i := 0; i < b.N; i++ {
-			obj, err := logreg.NewObjective(x, y, 1e-4, true)
+			obj, err := logreg.NewParallelObjective(x, y, 1e-4, true, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -379,7 +337,7 @@ func BenchmarkLogRegPass(b *testing.B) {
 			y[i] = 1
 		}
 	}
-	obj, err := logreg.NewObjective(x, y, 1e-4, true)
+	obj, err := logreg.NewParallelObjective(x, y, 1e-4, true, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"m3/internal/mat"
+	"m3/internal/ml/kmeans"
+	"m3/internal/ml/logreg"
 	"m3/internal/vm"
 )
 
@@ -284,39 +288,6 @@ func TestDiskAblationOrdering(t *testing.T) {
 	}
 }
 
-func TestRAMAblationCliff(t *testing.T) {
-	// Fixed 64 GB dataset; RAM sweep crossing it.
-	w := smallWorkload(64e9)
-	reports, err := RAMAblation(w, []int64{16e9, 32e9, 48e9, 80e9, 128e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Runtime is non-increasing in RAM.
-	for i := 1; i < len(reports); i++ {
-		if reports[i].Seconds > reports[i-1].Seconds*1.001 {
-			t.Errorf("more RAM slower: %s %.0fs -> %s %.0fs",
-				reports[i-1].Name, reports[i-1].Seconds, reports[i].Name, reports[i].Seconds)
-		}
-	}
-	// The cliff: crossing the dataset size cuts runtime by > 3x.
-	below := reports[2].Seconds // 48 GB < 64 GB dataset
-	above := reports[3].Seconds // 80 GB > dataset
-	if below/above < 3 {
-		t.Errorf("RAM cliff ratio = %.1f, want > 3 (out-of-core %.0fs vs in-RAM %.0fs)",
-			below/above, below, above)
-	}
-}
-
-func TestReadAheadAblation(t *testing.T) {
-	with, without, err := ReadAheadAblation(PaperPC(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := without.Seconds / with.Seconds; ratio < 2 {
-		t.Errorf("disabling read-ahead only %.1fx slower; batching should dominate at 4 KiB pages", ratio)
-	}
-}
-
 func TestRenderers(t *testing.T) {
 	res, err := Fig1a(Fig1aConfig{
 		SizesBytes: []int64{8e9, 16e9, 40e9, 80e9},
@@ -334,6 +305,20 @@ func TestRenderers(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig1a output missing %q:\n%s", want, out)
 		}
+	}
+
+	// The longest bar is the full 50 wide even where 50·s/s rounds
+	// below 50 (it does at this 190G value).
+	sb.Reset()
+	long := Fig1aResult{Points: []Fig1aPoint{
+		{SizeBytes: 8e9, Seconds: 100},
+		{SizeBytes: 190e9, Seconds: 1737.8623422530088},
+	}}
+	if err := RenderFig1a(&sb, long, 32e9); err != nil {
+		t.Fatal(err)
+	}
+	if want := " 190G |" + strings.Repeat("#", 50) + "* "; !strings.Contains(sb.String(), want) {
+		t.Errorf("fig1a longest bar is not 50 wide:\n%s", sb.String())
 	}
 
 	rows, err := Fig1b(PaperPC(), Workload{NominalBytes: 190e9, ActualRows: 64, Seed: 1})
@@ -463,10 +448,9 @@ func TestMultiCoreIsDeterministic(t *testing.T) {
 }
 
 func TestSparkRunsProduceSameModelQuality(t *testing.T) {
-	// M3 and Spark train on the same data with the same algorithm;
-	// their final objective values must agree closely (they may take
-	// slightly different line-search paths is NOT possible here:
-	// identical math, identical optimizer — values must match).
+	// M3 and Spark run the same trainers over the same rows; only the
+	// source's cost accounting differs, so the final objective values
+	// are the same bits.
 	w := smallWorkload(190e9)
 	m3, err := RunLogRegM3(PaperPC(), w)
 	if err != nil {
@@ -488,22 +472,44 @@ func TestSparkRunsProduceSameModelQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if relDiff(km3.FinalValue, ks.FinalValue) > 1e-9 {
+	if km3.FinalValue != ks.FinalValue {
 		t.Errorf("final inertia differs: M3 %v vs Spark %v", km3.FinalValue, ks.FinalValue)
 	}
 }
 
-func relDiff(a, b float64) float64 {
-	d := a - b
-	if d < 0 {
-		d = -d
+// TestSparkRoundIsOneStage: every round a trainer runs over the Spark
+// source is one scan stage on the cluster, for both algorithms.
+func TestSparkRoundIsOneStage(t *testing.T) {
+	w, err := smallWorkload(190e9).withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := a
-	if b > m {
-		m = b
+	data, y := w.materialize()
+	x := mat.NewDenseFrom(data, w.ActualRows, w.Features)
+
+	src, err := newSparkSource(4, w, x, y)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m == 0 {
-		return 0
+	m, err := logreg.TrainOn(context.Background(), src, false, 0, logreg.Options{MaxIterations: w.Iterations, GradTol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d / m
+	if got, want := src.c.Stages(), m.Result.Evaluations; got != want || want == 0 {
+		t.Errorf("logreg: %d stages for %d evaluations", got, want)
+	}
+
+	src, err = newSparkSource(4, w, x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := kmeans.RunOn(context.Background(), src, kmeans.Options{
+		K: w.K, MaxIterations: w.Iterations, InitCentroids: w.InitialCentroids(), RunAllIterations: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := src.c.Stages(), res.Iterations; got != want || want == 0 {
+		t.Errorf("kmeans: %d stages for %d iterations", got, want)
+	}
 }

@@ -7,10 +7,10 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"m3/internal/fit"
 	"m3/internal/mat"
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/logreg"
-	"m3/internal/optimize"
 	"m3/internal/store"
 	"m3/internal/trace"
 )
@@ -87,12 +87,8 @@ func Locality(w Workload) ([]LocalityReport, error) {
 	}
 
 	logregRep, err := record("logreg", func(x *mat.Dense) error {
-		obj, err := logreg.NewObjective(x, y, 1e-4, true)
-		if err != nil {
-			return err
-		}
-		_, err = optimize.LBFGS(context.Background(), obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
-			MaxIterations: 3, GradTol: 1e-12,
+		_, err := logreg.TrainOn(context.Background(), fit.NewLocal(x, y, 1), false, 0, logreg.Options{
+			Lambda: 1e-4, MaxIterations: 3, GradTol: 1e-12,
 		})
 		return err
 	})

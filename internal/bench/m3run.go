@@ -5,12 +5,12 @@ import (
 
 	"fmt"
 
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/logreg"
 	"m3/internal/obs"
-	"m3/internal/optimize"
 	"m3/internal/vm"
 )
 
@@ -156,18 +156,15 @@ func RunLogRegM3(machine Machine, w Workload) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	obj, err := logreg.NewObjective(x, y, 1e-4, true)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := optimize.LBFGS(context.Background(), obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
+	m, err := logreg.TrainOn(context.Background(), fit.NewLocal(x, y, 1), false, 0, logreg.Options{
+		Lambda:        1e-4,
 		MaxIterations: w.Iterations,
 		GradTol:       1e-12, // run the full iteration budget, like the paper
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	return finishReport("M3", machine, w, ps, obj.Scans, res.Value), nil
+	return finishReport("M3", machine, w, ps, m.Result.Evaluations, m.Result.Value), nil
 }
 
 // RunKMeansM3 runs w.Iterations of Lloyd k-means on a nominally-sized
@@ -256,71 +253,6 @@ func RunAccessPattern(machine Machine, w Workload, passes int) (sequential, rand
 		return Report{}, Report{}, err
 	}
 	return sequential, random, nil
-}
-
-// RAMAblation reruns the logistic-regression workload across RAM
-// budgets at a fixed dataset size — the Figure 1a knee viewed from
-// the other axis. Runtime collapses once the budget exceeds the
-// dataset: the cheapest "scale-up" is often just more DIMMs.
-func RAMAblation(w Workload, ramBytes []int64) ([]Report, error) {
-	out := make([]Report, 0, len(ramBytes))
-	for _, ram := range ramBytes {
-		machine := PaperPC()
-		machine.RAMBytes = ram
-		rep, err := RunLogRegM3(machine, w)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ram ablation at %d: %w", ram, err)
-		}
-		rep.Name = fmt.Sprintf("ram=%dGB", ram/1e9)
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// ReadAheadAblation measures what kernel-style sequential read-ahead
-// is worth: the same out-of-core sequential scans (2 GiB data,
-// 512 MiB cache, 4 KiB pages) with the adaptive read-ahead window
-// enabled versus disabled (window pinned to one page). Read-ahead
-// amortizes per-request overhead across up to 512 pages, which is
-// most of why M3's sequential scans run at device bandwidth.
-func ReadAheadAblation(machine Machine, passes int) (with, without Report, err error) {
-	const (
-		studyBytes = int64(2 << 30)
-		studyRAM   = int64(512 << 20)
-		pageSize   = int64(4096)
-	)
-	run := func(name string, maxRA int) (Report, error) {
-		mem, err := vm.NewMemory(studyBytes, vm.Config{
-			PageSize:          pageSize,
-			CacheBytes:        studyRAM,
-			Disk:              machine.Disk,
-			MinReadAheadPages: 1,
-			MaxReadAheadPages: maxRA,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		var tl vm.Timeline
-		for p := 0; p < passes; p++ {
-			tl.AddDisk(mem.Touch(0, studyBytes))
-		}
-		tl.AddCPU(float64(passes) * float64(studyBytes) / machine.CPUScanBytesPerSec)
-		return Report{
-			Name:    name,
-			Seconds: tl.Elapsed(),
-			Passes:  passes,
-			Util:    utilization(&tl),
-		}, nil
-	}
-	with, err = run("readahead", 512)
-	if err != nil {
-		return Report{}, Report{}, err
-	}
-	without, err = run("no-readahead", 1)
-	if err != nil {
-		return Report{}, Report{}, err
-	}
-	return with, without, nil
 }
 
 // DiskAblation reruns logistic regression across disk models (HDD,

@@ -34,8 +34,11 @@ func RenderFig1a(w io.Writer, res Fig1aResult, ramBytes int64) error {
 	// ASCII bar series.
 	for _, p := range res.Points {
 		bar := 0
-		if maxSec > 0 {
+		switch {
+		case p.Seconds < maxSec:
 			bar = int(50 * p.Seconds / maxSec)
+		case maxSec > 0:
+			bar = 50 // the longest: 50·s/s can round to 49.999…
 		}
 		marker := " "
 		if p.SizeBytes > ramBytes {

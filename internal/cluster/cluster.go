@@ -1,9 +1,10 @@
 // Package cluster simulates the Spark-on-EMR clusters the paper
 // compares against (Figure 1b: 4 and 8 m3.2xlarge instances reading
-// from HDFS). It is a deterministic cost-model simulator: distributed
-// algorithms execute their real math on partitioned data while the
-// cluster accounts simulated seconds for HDFS scans, RDD cache hits,
-// task/stage scheduling overhead, and treeAggregate network traffic.
+// from HDFS). It is a deterministic cost-model simulator and runs no
+// math: the trainers run their own passes on the real rows, and the
+// caller charges each round to the cluster, which accounts simulated
+// seconds for HDFS scans, RDD cache hits, task/stage scheduling
+// overhead, broadcasts and treeAggregate network traffic.
 //
 // The model captures the structure that produces the paper's ratios:
 //
@@ -127,12 +128,6 @@ func New(n int, spec InstanceSpec, cost CostModel) (*Cluster, error) {
 	return &Cluster{instances: n, spec: spec, cost: cost}, nil
 }
 
-// Instances returns the worker count.
-func (c *Cluster) Instances() int { return c.instances }
-
-// Spec returns the instance profile.
-func (c *Cluster) Spec() InstanceSpec { return c.spec }
-
 // Clock returns the simulated elapsed seconds.
 func (c *Cluster) Clock() float64 { return c.clock }
 
@@ -156,8 +151,8 @@ func (c *Cluster) advance(t float64) {
 }
 
 // RDD is a partitioned dataset resident in the cluster, with nominal
-// size accounting and cache state. Partition contents (for the real
-// math) live with the algorithm; the RDD tracks only sizes.
+// size accounting and cache state. The rows the math runs on live with
+// the caller; the RDD tracks only sizes.
 type RDD struct {
 	// NominalBytes is the modelled dataset size.
 	NominalBytes int64

@@ -320,15 +320,21 @@ func Run(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 
 // RunOn is Run over any source of rows, shaped like the other
 // trainers' drivers: a source that is its own DataPlane (a cluster's
-// shards) runs as one, and an in-process one gets a LocalPlane.
+// shards) runs as one, and a source that exposes its matrix (a
+// fit.Local, or a source wrapping one) gets a LocalPlane whose passes
+// still run through the source.
 func RunOn(ctx context.Context, src fit.Source, opts Options) (*Result, error) {
+	var plane DataPlane
 	switch s := src.(type) {
 	case DataPlane:
-		return RunPlane(ctx, s, opts)
-	case *fit.Local:
-		return RunPlane(ctx, &LocalPlane{SourcePlane: SourcePlane{Src: s}, x: s.Matrix()}, opts)
+		plane = s
+	case interface{ Matrix() *mat.Dense }:
+		plane = &LocalPlane{SourcePlane: SourcePlane{Src: src}, x: s.Matrix()}
 	}
-	return nil, fmt.Errorf("kmeans: a %T is neither a data plane nor in process", src)
+	if plane == nil {
+		return nil, fmt.Errorf("kmeans: a %T is neither a data plane nor exposes its matrix", src)
+	}
+	return RunPlane(ctx, plane, opts)
 }
 
 // RunPlane clusters the plane's rows into K groups — the full Lloyd

@@ -1,13 +1,12 @@
 // Package logreg implements logistic regression trained with L-BFGS —
-// the first of the paper's two evaluation workloads. The objective
-// streams the (possibly memory-mapped) data matrix row by row once
-// per evaluation, so each L-BFGS iteration performs the sequential
-// full-data scans whose paging behaviour Figure 1a measures.
+// the first of the paper's two evaluation workloads. Every objective
+// evaluation is one blocked scan of the (possibly memory-mapped) data
+// matrix, so each L-BFGS iteration performs the sequential full-data
+// scans whose paging behaviour Figure 1a measures.
 package logreg
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"m3/internal/blas"
@@ -58,102 +57,6 @@ type Model struct {
 	Intercept float64
 	// Result is the optimizer outcome.
 	Result optimize.Result
-}
-
-// Objective is the regularized negative log-likelihood of binary
-// logistic regression over a data matrix. It implements
-// optimize.Objective; the parameter vector is [w₀..w_{d-1}, b] when
-// intercept is enabled, [w₀..w_{d-1}] otherwise.
-type Objective struct {
-	x         *mat.Dense
-	y         []float64
-	lambda    float64
-	intercept bool
-	// Stall accumulates simulated paging stall seconds across Evals
-	// (zero on real backends).
-	Stall float64
-	// Scans counts full passes over the data.
-	Scans int
-}
-
-// NewObjective validates shapes and constructs the streaming
-// objective. Labels must be 0 or 1.
-func NewObjective(x *mat.Dense, y []float64, lambda float64, intercept bool) (*Objective, error) {
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("logreg: %d rows but %d labels", x.Rows(), len(y))
-	}
-	for i, v := range y {
-		if v != 0 && v != 1 {
-			return nil, fmt.Errorf("logreg: label[%d] = %v, want 0 or 1", i, v)
-		}
-	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
-	}
-	return &Objective{x: x, y: y, lambda: lambda, intercept: intercept}, nil
-}
-
-// Dim returns the parameter count (features + optional bias).
-func (o *Objective) Dim() int {
-	d := o.x.Cols()
-	if o.intercept {
-		d++
-	}
-	return d
-}
-
-// Eval computes the mean negative log-likelihood plus L2 penalty and
-// its gradient, streaming the data matrix exactly once.
-func (o *Objective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	w := params[:d]
-	var b float64
-	if o.intercept {
-		b = params[d]
-	}
-	blas.Fill(grad, 0)
-	gw := grad[:d]
-	var gb, loss float64
-
-	stall := o.x.ForEachRow(func(i int, row []float64) {
-		z := blas.Dot(row, w) + b
-		// Numerically stable: log(1+e^{-|z|}) + max(0, ±z).
-		var p float64
-		if z >= 0 {
-			ez := math.Exp(-z)
-			p = 1 / (1 + ez)
-			if o.y[i] == 1 {
-				loss += math.Log1p(ez)
-			} else {
-				loss += z + math.Log1p(ez)
-			}
-		} else {
-			ez := math.Exp(z)
-			p = ez / (1 + ez)
-			if o.y[i] == 1 {
-				loss += -z + math.Log1p(ez)
-			} else {
-				loss += math.Log1p(ez)
-			}
-		}
-		diff := p - o.y[i]
-		blas.Axpy(diff, row, gw)
-		gb += diff
-	})
-	o.Stall += stall
-	o.Scans++
-
-	n := float64(o.x.Rows())
-	loss /= n
-	blas.Scal(1/n, gw)
-	if o.intercept {
-		grad[d] = gb / n
-	}
-	// L2 penalty on weights only (not the intercept), matching
-	// standard practice and mlpack.
-	loss += 0.5 * o.lambda * blas.Dot(w, w)
-	blas.Axpy(o.lambda, w, gw)
-	return loss
 }
 
 // Train fits a binary logistic regression model with L-BFGS. Every

@@ -75,13 +75,13 @@ func TestTrainNoIntercept(t *testing.T) {
 
 func TestObjectiveValidation(t *testing.T) {
 	x := mat.NewDense(3, 2)
-	if _, err := NewObjective(x, []float64{0, 1}, 0.1, true); err == nil {
+	if _, err := NewParallelObjective(x, []float64{0, 1}, 0.1, true, 1); err == nil {
 		t.Error("accepted label/row mismatch")
 	}
-	if _, err := NewObjective(x, []float64{0, 1, 2}, 0.1, true); err == nil {
+	if _, err := NewParallelObjective(x, []float64{0, 1, 2}, 0.1, true, 1); err == nil {
 		t.Error("accepted label 2")
 	}
-	if _, err := NewObjective(x, []float64{0, 1, 1}, -1, true); err == nil {
+	if _, err := NewParallelObjective(x, []float64{0, 1, 1}, -1, true, 1); err == nil {
 		t.Error("accepted negative lambda")
 	}
 }
@@ -114,7 +114,7 @@ func numericGradCheck(t *testing.T, obj interface {
 
 func TestObjectiveGradient(t *testing.T) {
 	x, y := twoBlobs(40)
-	obj, err := NewObjective(x, y, 0.05, true)
+	obj, err := NewParallelObjective(x, y, 0.05, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestObjectiveGradient(t *testing.T) {
 
 func TestObjectiveCountsScans(t *testing.T) {
 	x, y := twoBlobs(10)
-	obj, err := NewObjective(x, y, 0, true)
+	obj, err := NewParallelObjective(x, y, 0, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestObjectiveCountsScans(t *testing.T) {
 
 func TestObjectiveAtZeroIsLog2(t *testing.T) {
 	x, y := twoBlobs(50)
-	obj, err := NewObjective(x, y, 0, true)
+	obj, err := NewParallelObjective(x, y, 0, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func GradGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64
 // source of rows. Each Eval is one gradPass reduction — a blocked,
 // worker-pooled scan in process, a broadcast round on a cluster — so
 // the value is bit-identical for any worker count, backend or shard
-// count (it may differ from the serial Objective in the last bits, as
-// any floating-point re-association does); the arithmetic after the
+// count (it may differ from a row-order loop in the last bits, as any
+// floating-point re-association does); the arithmetic after the
 // reduction is local.
 type ParallelObjective struct {
 	src       fit.Source
