@@ -53,14 +53,6 @@ func Scal(alpha float64, x []float64) {
 	}
 }
 
-// Copy copies src into dst. It panics if lengths differ.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("blas: copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Nrm2 returns the Euclidean norm of x, guarding against overflow for
 // very large components in the style of the reference BLAS.
 func Nrm2(x []float64) float64 {
@@ -81,30 +73,6 @@ func Nrm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Asum returns the sum of absolute values of x.
-func Asum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// Iamax returns the index of the element with the largest absolute
-// value, or -1 for an empty slice. Ties resolve to the lowest index.
-func Iamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bi := math.Abs(x[0]), 0
-	for i := 1; i < len(x); i++ {
-		if a := math.Abs(x[i]); a > best {
-			best, bi = a, i
-		}
-	}
-	return bi
 }
 
 // Fill sets every element of x to v.
@@ -161,46 +129,6 @@ func Gemv(m, n int, alpha float64, a []float64, lda int, x []float64, beta float
 	for i := 0; i < m; i++ {
 		row := a[i*lda : i*lda+n]
 		y[i] += alpha * Dot(row, x[:n])
-	}
-}
-
-// GemvTrans computes y = alpha*Aᵀ*x + beta*y for a row-major m×n
-// matrix A; the result y has length n. Implemented as a sequence of
-// axpy updates so the matrix is still scanned row-by-row in storage
-// order (critical for M3: sequential scans page well).
-func GemvTrans(m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
-	checkMatrix(m, n, a, lda)
-	if len(x) < m || len(y) < n {
-		panic("blas: gemvtrans vector too short")
-	}
-	if beta != 1 {
-		if beta == 0 {
-			Fill(y[:n], 0)
-		} else {
-			Scal(beta, y[:n])
-		}
-	}
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < m; i++ {
-		row := a[i*lda : i*lda+n]
-		Axpy(alpha*x[i], row, y[:n])
-	}
-}
-
-// Ger performs the rank-1 update A += alpha * x * yᵀ on a row-major
-// m×n matrix.
-func Ger(m, n int, alpha float64, x, y []float64, a []float64, lda int) {
-	checkMatrix(m, n, a, lda)
-	if len(x) < m || len(y) < n {
-		panic("blas: ger vector too short")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < m; i++ {
-		Axpy(alpha*x[i], y[:n], a[i*lda:i*lda+n])
 	}
 }
 

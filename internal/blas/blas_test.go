@@ -97,22 +97,6 @@ func TestNrm2(t *testing.T) {
 	}
 }
 
-func TestAsumIamax(t *testing.T) {
-	x := []float64{-1, 3, -2}
-	if got := Asum(x); !almostEqual(got, 6, tol) {
-		t.Errorf("Asum=%v want 6", got)
-	}
-	if got := Iamax(x); got != 1 {
-		t.Errorf("Iamax=%d want 1", got)
-	}
-	if got := Iamax(nil); got != -1 {
-		t.Errorf("Iamax(nil)=%d want -1", got)
-	}
-	if got := Iamax([]float64{2, -2}); got != 0 {
-		t.Errorf("Iamax tie=%d want 0", got)
-	}
-}
-
 func TestSumFill(t *testing.T) {
 	x := make([]float64, 7)
 	Fill(x, 1.5)
@@ -160,53 +144,6 @@ func TestGemv(t *testing.T) {
 	for i := range want {
 		if !almostEqual(y[i], want[i], tol) {
 			t.Fatalf("Gemv beta got %v want %v", y, want)
-		}
-	}
-}
-
-func TestGemvTrans(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 3x2
-	x := []float64{1, 1, 1}
-	y := make([]float64, 2)
-	GemvTrans(3, 2, 1, a, 2, x, 0, y)
-	want := []float64{9, 12}
-	for i := range want {
-		if !almostEqual(y[i], want[i], tol) {
-			t.Fatalf("GemvTrans got %v want %v", y, want)
-		}
-	}
-}
-
-func TestGemvTransMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m, n := 17, 9
-	a := randSlice(rng, m*n)
-	x := randSlice(rng, m)
-	// Explicit transpose.
-	at := make([]float64, n*m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			at[j*m+i] = a[i*n+j]
-		}
-	}
-	want := make([]float64, n)
-	Gemv(n, m, 1, at, m, x, 0, want)
-	got := make([]float64, n)
-	GemvTrans(m, n, 1, a, n, x, 0, got)
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-10) {
-			t.Fatalf("GemvTrans mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestGer(t *testing.T) {
-	a := make([]float64, 6) // 2x3
-	Ger(2, 3, 2, []float64{1, 2}, []float64{1, 2, 3}, a, 3)
-	want := []float64{2, 4, 6, 4, 8, 12}
-	for i := range want {
-		if !almostEqual(a[i], want[i], tol) {
-			t.Fatalf("Ger got %v want %v", a, want)
 		}
 	}
 }

@@ -134,12 +134,8 @@ func (c *Cluster) Clock() float64 { return c.clock }
 // Stages returns the number of stages executed.
 func (c *Cluster) Stages() int { return c.stages }
 
-// ResetClock zeroes the simulated clock and stage counter (cache
-// state of datasets is unaffected).
-func (c *Cluster) ResetClock() { c.clock, c.stages = 0, 0 }
-
-// CacheCapacityBytes is the aggregate RDD cache across the cluster.
-func (c *Cluster) CacheCapacityBytes() int64 {
+// cacheCapacityBytes is the aggregate RDD cache across the cluster.
+func (c *Cluster) cacheCapacityBytes() int64 {
 	return int64(float64(c.instances) * float64(c.spec.MemoryBytes) * c.cost.CacheFraction)
 }
 
@@ -175,11 +171,6 @@ func (c *Cluster) NewRDD(nominalBytes int64, partitions int) (*RDD, error) {
 	return &RDD{NominalBytes: nominalBytes, Partitions: partitions}, nil
 }
 
-// CachedFraction reports how much of the RDD is cache-resident.
-func (r *RDD) CachedFraction() float64 {
-	return float64(r.cachedBytes) / float64(r.NominalBytes)
-}
-
 // ScanStage simulates one full pass over the RDD (e.g. a gradient or
 // assignment stage): uncached bytes stream from HDFS, cached bytes
 // are processed at compute speed, and the slower of I/O and compute
@@ -212,7 +203,7 @@ func (c *Cluster) ScanStage(r *RDD) float64 {
 	stage := (coldWork+warmWork)/slots + c.cost.StageOverheadSeconds
 
 	// Cache fill after the pass.
-	capacity := c.CacheCapacityBytes()
+	capacity := c.cacheCapacityBytes()
 	if r.NominalBytes <= capacity {
 		r.cachedBytes = r.NominalBytes
 	} else {

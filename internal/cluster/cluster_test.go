@@ -60,7 +60,7 @@ func TestCacheCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CacheCapacityBytes(); got != 2000 {
+	if got := c.cacheCapacityBytes(); got != 2000 {
 		t.Errorf("cache capacity = %d want 2000 (4×1000×0.5)", got)
 	}
 }
@@ -89,9 +89,6 @@ func TestScanStageColdVsWarm(t *testing.T) {
 	if math.Abs(cold-1000.0/(4*100)) > 1e-9 {
 		t.Errorf("cold scan = %v want 2.5", cold)
 	}
-	if r.CachedFraction() != 1 {
-		t.Errorf("cached fraction after cold pass = %v want 1", r.CachedFraction())
-	}
 	warm := c.ScanStage(r)
 	if math.Abs(warm-1000.0/(4*400)) > 1e-9 {
 		t.Errorf("warm scan = %v want 0.625", warm)
@@ -108,9 +105,6 @@ func TestScanStagePartialCache(t *testing.T) {
 	c, _ := New(4, testSpec(), testCost())
 	r, _ := c.NewRDD(4000, 8)
 	c.ScanStage(r)
-	if got := r.CachedFraction(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("cached fraction = %v want 0.5", got)
-	}
 	warm := c.ScanStage(r)
 	// 4 cold partitions (500B each) scan-paced + 4 warm compute-paced,
 	// over 16 slots: (4*5 + 4*1.25)/16
@@ -188,24 +182,6 @@ func TestDriverCompute(t *testing.T) {
 	}
 }
 
-func TestResetClock(t *testing.T) {
-	c, _ := New(2, testSpec(), testCost())
-	r, _ := c.NewRDD(1000, 4)
-	c.ScanStage(r)
-	if c.Clock() == 0 {
-		t.Fatal("clock did not advance")
-	}
-	c.ResetClock()
-	if c.Clock() != 0 || c.Stages() != 0 {
-		t.Error("reset failed")
-	}
-	// Cache state survives reset: next scan is warm.
-	warm := c.ScanStage(r)
-	if math.Abs(warm-1000.0/(2*400)) > 1e-9 {
-		t.Errorf("post-reset scan = %v, cache should persist", warm)
-	}
-}
-
 // The structural property behind Figure 1b: for an out-of-core-sized
 // dataset, doubling the cluster more than doubles iteration speed
 // (cache crossover), and per-iteration fixed costs keep the small
@@ -222,7 +198,6 @@ func TestCacheCrossoverBetween4And8Instances(t *testing.T) {
 		}
 		r, _ := c.NewRDD(int64(dataset), 0)
 		c.ScanStage(r) // warm-up pass fills cache
-		c.ResetClock()
 		var total float64
 		for i := 0; i < 10; i++ {
 			total += c.ScanStage(r)

@@ -251,8 +251,7 @@ func TestPlanShardsAlignment(t *testing.T) {
 func TestLogisticParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 3)
-	want, err := logreg.Train(context.Background(), x, y, logreg.Options{MaxIterations: 8})
+	want, err := logreg.TrainOn(context.Background(), fit.NewLocal(x, labels, 0), true, 3, logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +280,7 @@ func TestLogisticParity(t *testing.T) {
 func TestSoftmaxParity(t *testing.T) {
 	path := writeTestData(t, 1100, 5, 4)
 	x, labels := openLocal(t, path)
-	y, err := preprocess.IntLabels(labels, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := logreg.TrainSoftmax(context.Background(), x, y, 4, logreg.Options{MaxIterations: 6})
+	want, err := logreg.TrainSoftmaxOn(context.Background(), fit.NewLocal(x, labels, 0), 4, logreg.Options{MaxIterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +299,7 @@ func TestLinearParity(t *testing.T) {
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
 
 	t.Run("lbfgs", func(t *testing.T) {
-		want, err := linreg.Train(context.Background(), x, labels, linreg.Options{MaxIterations: 8})
+		want, err := linreg.TrainOn(context.Background(), fit.NewLocal(x, labels, 0), linreg.Options{MaxIterations: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +313,7 @@ func TestLinearParity(t *testing.T) {
 		}
 	})
 	t.Run("exact", func(t *testing.T) {
-		want, err := linreg.TrainExact(context.Background(), x, labels, linreg.Options{})
+		want, err := linreg.TrainExactOn(context.Background(), fit.NewLocal(x, labels, 0), linreg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,11 +331,7 @@ func TestLinearParity(t *testing.T) {
 func TestBayesParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 5)
 	x, labels := openLocal(t, path)
-	y, err := preprocess.IntLabels(labels, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bayes.Train(context.Background(), x, y, 5, bayes.Options{})
+	want, err := bayes.TrainOn(context.Background(), fit.NewLocal(x, labels, 0), 5, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +348,7 @@ func TestBayesParity(t *testing.T) {
 func TestPCAParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 3)
 	x, _ := openLocal(t, path)
-	want, err := pca.Fit(context.Background(), x, pca.Options{Components: 3, Seed: 11})
+	want, err := pca.FitOn(context.Background(), fit.NewLocal(x, nil, 0), pca.Options{Components: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,16 +413,12 @@ func TestKMeansParity(t *testing.T) {
 func TestScalerPipelineParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 4)
 	x, labels := openLocal(t, path)
-	y, err := preprocess.IntLabels(labels, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaler, err := preprocess.FitStandard(context.Background(), x, preprocess.Options{})
+	scaler, err := preprocess.FitStandardOn(context.Background(), fit.NewLocal(x, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fused := mat.NewFused(x, x.Cols(), scaler.BlockKernel)
-	want, err := bayes.Train(context.Background(), fused, y, 4, bayes.Options{})
+	want, err := bayes.TrainOn(context.Background(), fit.NewLocal(fused, labels, 0), 4, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,13 +452,12 @@ func TestScalerPipelineParity(t *testing.T) {
 func TestMaterializedPipelineParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 2)
-	scaler, err := preprocess.FitStandard(context.Background(), x, preprocess.Options{})
+	scaler, err := preprocess.FitStandardOn(context.Background(), fit.NewLocal(x, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fused := mat.NewFused(x, x.Cols(), scaler.BlockKernel)
-	want, err := logreg.Train(context.Background(), fused, y, logreg.Options{MaxIterations: 8})
+	want, err := logreg.TrainOn(context.Background(), fit.NewLocal(fused, labels, 0), true, 2, logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,8 +607,7 @@ func TestCancelAtEveryRequest(t *testing.T) {
 func TestMoreWorkersThanGroups(t *testing.T) {
 	path := writeTestData(t, 300, 4, 2) // 2 groups of 256
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 1)
-	want, err := logreg.Train(context.Background(), x, y, logreg.Options{MaxIterations: 5})
+	want, err := logreg.TrainOn(context.Background(), fit.NewLocal(x, labels, 0), true, 1, logreg.Options{MaxIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,14 +225,6 @@ func NewLocal(x *mat.Dense, labels []float64, workers int) *Local {
 	return &Local{x: x, workers: workers, shard: Shard{Rows: rows, Cols: cols, Labels: labels}}
 }
 
-// NewLocalClasses is NewLocal for callers that already hold the labels
-// as class indices.
-func NewLocalClasses(x *mat.Dense, classIDs []int, workers int) *Local {
-	l := NewLocal(x, nil, workers)
-	l.shard.ClassIDs = classIDs
-	return l
-}
-
 // Matrix returns the matrix l scans.
 func (l *Local) Matrix() *mat.Dense { return l.x }
 

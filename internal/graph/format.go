@@ -69,18 +69,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// FromEdges builds an in-memory graph from (src, dst) pairs.
-func FromEdges(nodes int64, pairs [][2]int64) (*Graph, error) {
-	g := &Graph{Nodes: nodes, Edges: make([]int64, 0, 2*len(pairs))}
-	for _, p := range pairs {
-		g.Edges = append(g.Edges, p[0], p[1])
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // Write stores the graph in the mappable on-disk format:
 // header page (magic, version, nodes, edge count), then the raw
 // little-endian edge array.
@@ -146,13 +134,14 @@ func Open(path string) (*Graph, error) {
 		return nil, fmt.Errorf("graph: %q unsupported version %d", path, v)
 	}
 	nodes := int64(binary.LittleEndian.Uint64(b[16:]))
-	edges := int64(binary.LittleEndian.Uint64(b[24:]))
-	need := graphHeaderSize + 16*edges
-	if int64(len(b)) < need {
+	// The edge count is untrusted: bound it by the payload before
+	// multiplying, so no count can overflow the size computation.
+	edges := binary.LittleEndian.Uint64(b[24:])
+	if fits := uint64(len(b)-graphHeaderSize) / 16; edges > fits {
 		region.Unmap()
-		return nil, fmt.Errorf("graph: %q has %d bytes, header implies %d", path, len(b), need)
+		return nil, fmt.Errorf("graph: %q header claims %d edges, payload holds %d", path, edges, fits)
 	}
-	payload := b[graphHeaderSize : graphHeaderSize+16*edges]
+	payload := b[graphHeaderSize : graphHeaderSize+16*int(edges)]
 	g := &Graph{
 		Nodes:  nodes,
 		Edges:  int64View(payload),

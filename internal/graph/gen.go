@@ -51,16 +51,3 @@ func GenerateRMAT(scale int, edgesPerNode int, seed uint64) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// GenerateRing returns a directed cycle over n nodes — a graph with
-// one component and uniform PageRank, useful as a test oracle.
-func GenerateRing(n int64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: ring needs >= 2 nodes")
-	}
-	g := &Graph{Nodes: n, Edges: make([]int64, 0, 2*n)}
-	for i := int64(0); i < n; i++ {
-		g.Edges = append(g.Edges, i, (i+1)%n)
-	}
-	return g, nil
-}

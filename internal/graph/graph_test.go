@@ -2,26 +2,30 @@ package graph
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestFromEdgesValidate(t *testing.T) {
-	if _, err := FromEdges(3, [][2]int64{{0, 1}, {1, 2}}); err != nil {
+	if _, err := fromEdges(3, [][2]int64{{0, 1}, {1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromEdges(2, [][2]int64{{0, 5}}); err == nil {
+	if _, err := fromEdges(2, [][2]int64{{0, 5}}); err == nil {
 		t.Error("accepted out-of-range endpoint")
 	}
-	if _, err := FromEdges(0, nil); err == nil {
+	if _, err := fromEdges(0, nil); err == nil {
 		t.Error("accepted zero nodes")
 	}
 }
 
 func TestWriteOpenRoundTrip(t *testing.T) {
-	g, err := FromEdges(4, [][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
+	g, err := fromEdges(4, [][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +56,30 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsHostileEdgeCount: an edge count the payload cannot
+// hold is an error, including counts whose byte size overflows int64
+// (which used to panic or wrap to an empty graph).
+func TestOpenRejectsHostileEdgeCount(t *testing.T) {
+	for _, edges := range []uint64{math.MaxUint64, 1<<59 + 1, 1 << 60, 3} {
+		b := make([]byte, graphHeaderSize+32) // room for two edges
+		copy(b, GraphMagic)
+		binary.LittleEndian.PutUint32(b[8:], 1)
+		binary.LittleEndian.PutUint64(b[16:], 4)
+		binary.LittleEndian.PutUint64(b[24:], edges)
+		path := filepath.Join(t.TempDir(), "g.m3g")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Open(path)
+		if err == nil {
+			g.Close()
+			t.Errorf("edges=%#x: opened a graph with %d edges", edges, g.EdgeCount())
+		} else if !strings.Contains(err.Error(), "header claims") {
+			t.Errorf("edges=%#x: err = %v", edges, err)
+		}
+	}
+}
+
 func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("opened missing file")
@@ -59,7 +87,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 func TestPageRankRingIsUniform(t *testing.T) {
-	g, err := GenerateRing(10)
+	g, err := generateRing(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +132,7 @@ func TestPageRankHubGetsHighRank(t *testing.T) {
 	for i := int64(1); i < 10; i++ {
 		pairs = append(pairs, [2]int64{i, 0})
 	}
-	g, err := FromEdges(10, pairs)
+	g, err := fromEdges(10, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +151,7 @@ func TestPageRankHubGetsHighRank(t *testing.T) {
 
 func TestPageRankDanglingMassConserved(t *testing.T) {
 	// Node 2 has no out-edges; total rank must still be 1.
-	g, err := FromEdges(3, [][2]int64{{0, 1}, {1, 2}})
+	g, err := fromEdges(3, [][2]int64{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +181,7 @@ func TestTopK(t *testing.T) {
 
 func TestConnectedComponentsTwoCliques(t *testing.T) {
 	// Nodes 0-2 form one component, 3-5 another.
-	g, err := FromEdges(6, [][2]int64{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
+	g, err := fromEdges(6, [][2]int64{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,4 +323,29 @@ func TestPropertyComponentLabelsMinimal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fromEdges builds an in-memory graph from (src, dst) pairs.
+func fromEdges(nodes int64, pairs [][2]int64) (*Graph, error) {
+	g := &Graph{Nodes: nodes, Edges: make([]int64, 0, 2*len(pairs))}
+	for _, p := range pairs {
+		g.Edges = append(g.Edges, p[0], p[1])
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// generateRing returns a directed cycle over n nodes — a graph with
+// one component and uniform PageRank, useful as a test oracle.
+func generateRing(n int64) (*Graph, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("graph: ring needs >= 2 nodes")
+	}
+	g := &Graph{Nodes: n, Edges: make([]int64, 0, 2*n)}
+	for i := int64(0); i < n; i++ {
+		g.Edges = append(g.Edges, i, (i+1)%n)
+	}
+	return g, nil
 }

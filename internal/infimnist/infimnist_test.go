@@ -17,7 +17,7 @@ import (
 
 func TestPrototypesHaveInk(t *testing.T) {
 	for d := 0; d < Classes; d++ {
-		img := Prototype(d)
+		img := prototype(d)
 		if len(img) != Features {
 			t.Fatalf("digit %d: %d features", d, len(img))
 		}
@@ -41,7 +41,7 @@ func TestPrototypesAreDistinct(t *testing.T) {
 	// otherwise classification is meaningless.
 	protos := make([][]float64, Classes)
 	for d := range protos {
-		protos[d] = Prototype(d)
+		protos[d] = prototype(d)
 	}
 	for a := 0; a < Classes; a++ {
 		for b := a + 1; b < Classes; b++ {
@@ -58,7 +58,7 @@ func TestPrototypePanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Prototype(10)
+	prototype(10)
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
@@ -106,7 +106,7 @@ func TestGeneratedStaysNearClass(t *testing.T) {
 	g := Generator{Seed: 3}
 	protos := make([][]float64, Classes)
 	for d := range protos {
-		protos[d] = Prototype(d)
+		protos[d] = prototype(d)
 	}
 	good := 0
 	const trials = 200
@@ -566,4 +566,22 @@ func BenchmarkWriteDataset(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// prototype renders the undeformed digit d into a Features-length
+// buffer (row-major, values in [0,1]). It panics for d outside 0–9.
+func prototype(d int) []float64 {
+	if d < 0 || d >= Classes {
+		panic("infimnist: digit out of range")
+	}
+	img := make([]float64, Features)
+	g := &digits()[d]
+	for py := 0; py < Side; py++ {
+		for px := 0; px < Side; px++ {
+			x := (float64(px) + 0.5) / Side
+			y := (float64(py) + 0.5) / Side
+			img[py*Side+px] = g.intensityAt(x, y)
+		}
+	}
+	return img
 }

@@ -207,21 +207,3 @@ func (g *digitIndex) intensityAt(x, y float64) float64 {
 		return 1 - t*t*(3-2*t) // smoothstep fade
 	}
 }
-
-// Prototype renders the undeformed digit d into a Features-length
-// buffer (row-major, values in [0,1]). It panics for d outside 0–9.
-func Prototype(d int) []float64 {
-	if d < 0 || d >= Classes {
-		panic("infimnist: digit out of range")
-	}
-	img := make([]float64, Features)
-	g := &digits()[d]
-	for py := 0; py < Side; py++ {
-		for px := 0; px < Side; px++ {
-			x := (float64(px) + 0.5) / Side
-			y := (float64(py) + 0.5) / Side
-			img[py*Side+px] = g.intensityAt(x, y)
-		}
-	}
-	return img
-}

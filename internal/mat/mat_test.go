@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"m3/internal/exec"
+	"m3/internal/mmap"
 	"m3/internal/store"
 	"m3/internal/vm"
 )
@@ -245,12 +246,12 @@ func TestDenseOverMappedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ro, err := store.OpenMapped(path)
+	data, region, err := mmap.OpenFloat64(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ro.Close()
-	d2, err := NewDenseStore(ro, 3, 4)
+	defer region.Unmap()
+	d2, err := NewDenseStore(store.ViewMapped(region, data, 0), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

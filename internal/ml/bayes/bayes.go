@@ -49,16 +49,12 @@ type Model struct {
 	LogPrior []float64
 }
 
-// Train fits the model in one pass over x. Labels must be integers in
+// TrainOn fits the model in one pass over any source of rows — the
+// one driver local and distributed fits share: a single countPass
+// reduction (per-class count, sum and sum-of-squares, merged in
+// canonical order so the model is identical for any worker or shard
+// count), then the closed form. Labels must be integers in
 // [0, classes). ctx cancels the counting scan within one data block.
-func Train(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*Model, error) {
-	return TrainOn(ctx, fit.NewLocalClasses(x, y, opts.Workers), classes, opts)
-}
-
-// TrainOn is Train over any source of rows — the one driver local and
-// distributed fits share: a single countPass reduction (per-class
-// count, sum and sum-of-squares, merged in canonical order so the model
-// is identical for any worker or shard count), then the closed form.
 func TrainOn(ctx context.Context, src fit.Source, classes int, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 )
@@ -28,9 +29,18 @@ func gaussBlobs(n int) (*mat.Dense, []int) {
 	return x, y
 }
 
+// train fits over a local source of x with integer class labels.
+func train(x *mat.Dense, y []int, classes int) (*Model, error) {
+	labels := make([]float64, len(y))
+	for i, v := range y {
+		labels[i] = float64(v)
+	}
+	return TrainOn(context.Background(), fit.NewLocal(x, labels, 0), classes, Options{})
+}
+
 func TestTrainSeparatesBlobs(t *testing.T) {
 	x, y := gaussBlobs(300)
-	m, err := Train(context.Background(), x, y, 3, Options{})
+	m, err := train(x, y, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +63,18 @@ func TestTrainSeparatesBlobs(t *testing.T) {
 
 func TestTrainValidation(t *testing.T) {
 	x, y := gaussBlobs(9)
-	if _, err := Train(context.Background(), x, y[:5], 3, Options{}); err == nil {
+	if _, err := train(x, y[:5], 3); err == nil {
 		t.Error("accepted label mismatch")
 	}
-	if _, err := Train(context.Background(), x, y, 1, Options{}); err == nil {
+	if _, err := train(x, y, 1); err == nil {
 		t.Error("accepted 1 class")
 	}
-	if _, err := Train(context.Background(), x, y, 5, Options{}); err == nil {
+	if _, err := train(x, y, 5); err == nil {
 		t.Error("accepted empty class")
 	}
 	bad := append([]int(nil), y...)
 	bad[0] = 7
-	if _, err := Train(context.Background(), x, bad, 3, Options{}); err == nil {
+	if _, err := train(x, bad, 3); err == nil {
 		t.Error("accepted out-of-range label")
 	}
 }
@@ -78,7 +88,7 @@ func TestDigitsOnePassAccuracy(t *testing.T) {
 	for i, v := range labels {
 		y[i] = int(v)
 	}
-	m, err := Train(context.Background(), x, y, 10, Options{})
+	m, err := train(x, y, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestZeroVarianceFeatureHandled(t *testing.T) {
 		x.Set(i, 0, 1) // constant
 		x.Set(i, 1, float64(i%2)*10)
 	}
-	m, err := Train(context.Background(), x, y, 2, Options{})
+	m, err := train(x, y, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestZeroVarianceFeatureHandled(t *testing.T) {
 
 func TestLogScoresPanicsOnShape(t *testing.T) {
 	x, y := gaussBlobs(30)
-	m, err := Train(context.Background(), x, y, 3, Options{})
+	m, err := train(x, y, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

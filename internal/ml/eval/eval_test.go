@@ -1,12 +1,8 @@
 package eval
 
 import (
-	"context"
 	"math"
 	"testing"
-
-	"m3/internal/mat"
-	"m3/internal/ml/logreg"
 )
 
 func TestConfusionMatrixBasics(t *testing.T) {
@@ -63,192 +59,5 @@ func TestConfusionMatrixValidation(t *testing.T) {
 	}
 	if c.Accuracy() != 0 {
 		t.Error("empty accuracy not 0")
-	}
-}
-
-func TestLogLoss(t *testing.T) {
-	// Perfect confident predictions → tiny loss.
-	loss, err := LogLoss([]float64{0.999999, 0.000001}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 1e-5 {
-		t.Errorf("confident loss = %v", loss)
-	}
-	// Uniform predictions → ln 2.
-	loss, err = LogLoss([]float64{0.5, 0.5}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(loss-math.Ln2) > 1e-12 {
-		t.Errorf("uniform loss = %v want ln2", loss)
-	}
-	// Clipping prevents infinities.
-	loss, err = LogLoss([]float64{0, 1}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(loss, 0) {
-		t.Error("loss not clipped")
-	}
-	if _, err := LogLoss([]float64{0.5}, []float64{1, 0}); err == nil {
-		t.Error("accepted length mismatch")
-	}
-	if _, err := LogLoss([]float64{0.5}, []float64{2}); err == nil {
-		t.Error("accepted label 2")
-	}
-	if _, err := LogLoss(nil, nil); err == nil {
-		t.Error("accepted empty input")
-	}
-}
-
-func TestAUC(t *testing.T) {
-	// Perfect separation → AUC 1.
-	auc, err := AUC([]float64{0.1, 0.2, 0.8, 0.9}, []float64{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 1 {
-		t.Errorf("perfect AUC = %v", auc)
-	}
-	// Inverted → 0.
-	auc, err = AUC([]float64{0.9, 0.8, 0.2, 0.1}, []float64{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 0 {
-		t.Errorf("inverted AUC = %v", auc)
-	}
-	// All-tied scores → 0.5.
-	auc, err = AUC([]float64{0.5, 0.5, 0.5, 0.5}, []float64{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-0.5) > 1e-12 {
-		t.Errorf("tied AUC = %v", auc)
-	}
-	if _, err := AUC([]float64{0.5}, []float64{1}); err == nil {
-		t.Error("accepted single-class input")
-	}
-	if _, err := AUC([]float64{1, 2}, []float64{1, 3}); err == nil {
-		t.Error("accepted non-binary label")
-	}
-}
-
-func TestKFoldCoversAllRowsOnce(t *testing.T) {
-	for _, shuffle := range []bool{false, true} {
-		splits, err := KFold(103, 5, shuffle, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(splits) != 5 {
-			t.Fatalf("folds = %d", len(splits))
-		}
-		seen := make(map[int]int)
-		for _, sp := range splits {
-			for _, r := range sp.Test {
-				seen[r]++
-			}
-			if len(sp.Train)+len(sp.Test) != 103 {
-				t.Errorf("fold sizes %d+%d != 103", len(sp.Train), len(sp.Test))
-			}
-			// Train and test are disjoint.
-			inTest := make(map[int]bool, len(sp.Test))
-			for _, r := range sp.Test {
-				inTest[r] = true
-			}
-			for _, r := range sp.Train {
-				if inTest[r] {
-					t.Fatalf("row %d in both train and test", r)
-				}
-			}
-		}
-		if len(seen) != 103 {
-			t.Errorf("test folds cover %d rows", len(seen))
-		}
-		for r, n := range seen {
-			if n != 1 {
-				t.Errorf("row %d appears in %d test folds", r, n)
-			}
-		}
-	}
-}
-
-func TestKFoldValidation(t *testing.T) {
-	if _, err := KFold(10, 1, false, 0); err == nil {
-		t.Error("accepted 1 fold")
-	}
-	if _, err := KFold(3, 5, false, 0); err == nil {
-		t.Error("accepted more folds than rows")
-	}
-}
-
-func TestCrossValidateLogreg(t *testing.T) {
-	// Separable problem: every fold should score ~1.0.
-	n := 200
-	x := mat.NewDense(n, 2)
-	y := make([]float64, n)
-	r := uint64(1)
-	next := func() float64 {
-		r ^= r << 13
-		r ^= r >> 7
-		r ^= r << 17
-		return float64(r%1000)/1000 - 0.5
-	}
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			x.Set(i, 0, next()+2)
-			x.Set(i, 1, next()+2)
-			y[i] = 1
-		} else {
-			x.Set(i, 0, next()-2)
-			x.Set(i, 1, next()-2)
-		}
-	}
-	accs, err := CrossValidate(x, y, 5, 3, func(xt *mat.Dense, yt []float64) (func([]float64) float64, error) {
-		m, err := logreg.Train(context.Background(), xt, yt, logreg.Options{MaxIterations: 20})
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 5 {
-		t.Fatalf("fold accuracies = %d", len(accs))
-	}
-	mean, std := MeanStd(accs)
-	if mean < 0.97 {
-		t.Errorf("cv mean accuracy = %v ± %v", mean, std)
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if mean != 5 || std != 2 {
-		t.Errorf("MeanStd = %v, %v want 5, 2", mean, std)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Errorf("empty MeanStd = %v, %v", m, s)
-	}
-}
-
-func TestGatherRows(t *testing.T) {
-	x := mat.NewDense(4, 2)
-	for i := 0; i < 4; i++ {
-		x.Set(i, 0, float64(i))
-	}
-	y := []float64{10, 11, 12, 13}
-	sub, suby := GatherRows(x, y, []int{3, 1})
-	if sub.At(0, 0) != 3 || sub.At(1, 0) != 1 {
-		t.Errorf("gathered rows wrong")
-	}
-	if suby[0] != 13 || suby[1] != 11 {
-		t.Errorf("gathered labels wrong: %v", suby)
-	}
-	subNil, labels := GatherRows(x, nil, []int{0})
-	if labels != nil || subNil.Rows() != 1 {
-		t.Error("nil-label gather wrong")
 	}
 }

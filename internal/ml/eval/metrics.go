@@ -1,14 +1,8 @@
-// Package eval provides model-evaluation utilities — confusion
-// matrices, classification metrics, and k-fold cross-validation —
-// written against the same storage-transparent matrix API as the
-// trainers, so evaluation scans page exactly like training scans.
+// Package eval provides model-evaluation utilities: confusion
+// matrices and the classification metrics read off them.
 package eval
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // ConfusionMatrix counts predictions by (actual, predicted) class.
 type ConfusionMatrix struct {
@@ -97,84 +91,4 @@ func (c *ConfusionMatrix) MacroF1() float64 {
 		s += c.F1(k)
 	}
 	return s / float64(c.Classes)
-}
-
-// LogLoss computes mean negative log-likelihood from predicted
-// probabilities of the positive class for binary labels (0/1).
-// Probabilities are clipped to [eps, 1-eps].
-func LogLoss(probs, labels []float64) (float64, error) {
-	if len(probs) != len(labels) {
-		return 0, fmt.Errorf("eval: %d probs for %d labels", len(probs), len(labels))
-	}
-	if len(probs) == 0 {
-		return 0, fmt.Errorf("eval: empty input")
-	}
-	const eps = 1e-15
-	var s float64
-	for i, p := range probs {
-		if labels[i] != 0 && labels[i] != 1 {
-			return 0, fmt.Errorf("eval: label[%d] = %v, want 0 or 1", i, labels[i])
-		}
-		if p < eps {
-			p = eps
-		} else if p > 1-eps {
-			p = 1 - eps
-		}
-		if labels[i] == 1 {
-			s -= math.Log(p)
-		} else {
-			s -= math.Log(1 - p)
-		}
-	}
-	return s / float64(len(probs)), nil
-}
-
-// AUC computes the area under the ROC curve for binary labels via the
-// rank statistic (ties get the average rank).
-func AUC(scores, labels []float64) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("eval: %d scores for %d labels", len(scores), len(labels))
-	}
-	var pos, neg int64
-	for _, v := range labels {
-		switch v {
-		case 1:
-			pos++
-		case 0:
-			neg++
-		default:
-			return 0, fmt.Errorf("eval: label %v, want 0 or 1", v)
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0, fmt.Errorf("eval: need both classes (pos=%d neg=%d)", pos, neg)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-
-	// Average ranks with tie handling.
-	ranks := make([]float64, len(scores))
-	for i := 0; i < len(idx); {
-		j := i
-		//m3vet:allow floateq -- tied scores must group exactly to share an average rank
-		for j+1 < len(idx) && scores[idx[j+1]] == scores[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	var rankSum float64
-	for i, v := range labels {
-		if v == 1 {
-			rankSum += ranks[i]
-		}
-	}
-	p, n := float64(pos), float64(neg)
-	return (rankSum - p*(p+1)/2) / (p * n), nil
 }

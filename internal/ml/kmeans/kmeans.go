@@ -511,14 +511,3 @@ func nearestCentroid(row []float64, centroids *mat.Dense) (int, float64) {
 	k, d := centroids.Dims()
 	return blas.NearestRow(row, k, d, c, d)
 }
-
-// Inertia computes the clustering cost of arbitrary data under this
-// result's centroids (one scan).
-func Inertia(x *mat.Dense, centroids *mat.Dense) float64 {
-	var total float64
-	x.ForEachRow(func(i int, row []float64) {
-		_, best := nearestCentroid(row, centroids)
-		total += best
-	})
-	return total
-}

@@ -201,7 +201,7 @@ func TestInertiaFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Inertia(x, res.Centroids); math.Abs(got-res.Inertia) > 1e-6*math.Max(1, res.Inertia) {
+	if got := inertia(x, res.Centroids); math.Abs(got-res.Inertia) > 1e-6*math.Max(1, res.Inertia) {
 		t.Errorf("Inertia = %v, result reports %v", got, res.Inertia)
 	}
 }
@@ -293,4 +293,15 @@ func TestClustersDigits(t *testing.T) {
 	if k5.Scans == 0 || blas.Sum(k5.Centroids.RawRow(0)) == 0 {
 		t.Error("suspicious empty result")
 	}
+}
+
+// inertia recomputes the clustering cost of x under centroids, the
+// oracle for Result.Inertia.
+func inertia(x *mat.Dense, centroids *mat.Dense) float64 {
+	var total float64
+	x.ForEachRow(func(i int, row []float64) {
+		_, best := nearestCentroid(row, centroids)
+		total += best
+	})
+	return total
 }

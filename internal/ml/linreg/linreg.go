@@ -111,11 +111,6 @@ type Objective struct {
 	err error
 }
 
-// NewObjective builds the objective over a local matrix and targets.
-func NewObjective(x *mat.Dense, y []float64, lambda float64, intercept bool) (*Objective, error) {
-	return newObjective(fit.NewLocal(x, y, 0), lambda, intercept)
-}
-
 // newObjective validates the options and the source's targets.
 func newObjective(src fit.Source, lambda float64, intercept bool) (*Objective, error) {
 	if lambda < 0 {
@@ -211,14 +206,9 @@ func (o *Objective) Eval(params, grad []float64) float64 {
 	return loss
 }
 
-// Train fits the model with blocked L-BFGS scans. ctx cancels the fit
-// within one data block.
-func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
-	return TrainOn(ctx, fit.NewLocal(x, y, opts.Workers), opts)
-}
-
-// TrainOn is Train over any source of rows — the one iterative driver
-// local and distributed fits share.
+// TrainOn fits the model with blocked L-BFGS scans of any source of
+// rows — the one iterative driver local and distributed fits share.
+// ctx cancels the fit within one data block.
 func TrainOn(ctx context.Context, src fit.Source, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
@@ -247,17 +237,12 @@ func TrainOn(ctx context.Context, src fit.Source, opts Options) (*Model, error) 
 	return m, nil
 }
 
-// TrainExact solves the ridge normal equations (XᵀX + λI)w = Xᵀy by
-// Cholesky factorization. One data scan builds the Gram matrix; the
-// solve is O(d³), so this path suits d up to a few thousand. The
-// intercept is handled by augmenting with a constant column
-// (unregularized). ctx cancels the Gram scan within one data block.
-func TrainExact(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
-	return TrainExactOn(ctx, fit.NewLocal(x, y, opts.Workers), opts)
-}
-
-// TrainExactOn is TrainExact over any source of rows: one gramPass
-// reduction, then the ridge and the Cholesky solve.
+// TrainExactOn solves the ridge normal equations (XᵀX + λI)w = Xᵀy by
+// Cholesky factorization over any source of rows: one gramPass
+// reduction builds the Gram matrix, then the ridge and the O(d³)
+// solve, so this path suits d up to a few thousand. The intercept is
+// handled by augmenting with a constant column (unregularized). ctx
+// cancels the Gram scan within one data block.
 func TrainExactOn(ctx context.Context, src fit.Source, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	total, _, err := fit.Reduce(ctx, src, gramPass, gramArg{NoIntercept: o.NoIntercept})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"m3/internal/fit"
 	"m3/internal/mat"
 	"m3/internal/vm"
 )
@@ -31,7 +32,7 @@ func planarData(n int, noise float64) (*mat.Dense, []float64) {
 
 func TestTrainRecoversPlane(t *testing.T) {
 	x, y := planarData(300, 0)
-	m, err := Train(context.Background(), x, y, Options{})
+	m, err := TrainOn(context.Background(), fit.NewLocal(x, y, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestTrainRecoversPlane(t *testing.T) {
 
 func TestTrainExactMatchesLBFGS(t *testing.T) {
 	x, y := planarData(200, 0.1)
-	lb, err := Train(context.Background(), x, y, Options{Lambda: 1e-6, GradTol: 1e-12, MaxIterations: 500})
+	lb, err := TrainOn(context.Background(), fit.NewLocal(x, y, 0), Options{Lambda: 1e-6, GradTol: 1e-12, MaxIterations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := TrainExact(context.Background(), x, y, Options{Lambda: 1e-6})
+	ex, err := TrainExactOn(context.Background(), fit.NewLocal(x, y, 0), Options{Lambda: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestTrainExactNoIntercept(t *testing.T) {
 		x.Set(i, 0, float64(i))
 		y[i] = 2 * float64(i)
 	}
-	m, err := TrainExact(context.Background(), x, y, Options{NoIntercept: true, Lambda: 1e-12})
+	m, err := TrainExactOn(context.Background(), fit.NewLocal(x, y, 0), Options{NoIntercept: true, Lambda: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +89,20 @@ func TestTrainExactNoIntercept(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	x := mat.NewDense(3, 2)
-	if _, err := NewObjective(x, []float64{1, 2}, 0, true); err == nil {
+	if _, err := newObjective(fit.NewLocal(x, []float64{1, 2}, 0), 0, true); err == nil {
 		t.Error("accepted target mismatch")
 	}
-	if _, err := NewObjective(x, []float64{1, 2, 3}, -1, true); err == nil {
+	if _, err := newObjective(fit.NewLocal(x, []float64{1, 2, 3}, 0), -1, true); err == nil {
 		t.Error("accepted negative lambda")
 	}
-	if _, err := TrainExact(context.Background(), x, []float64{1}, Options{}); err == nil {
-		t.Error("TrainExact accepted mismatch")
+	if _, err := TrainExactOn(context.Background(), fit.NewLocal(x, []float64{1}, 0), Options{}); err == nil {
+		t.Error("TrainExactOn accepted mismatch")
 	}
 }
 
 func TestObjectiveGradientNumeric(t *testing.T) {
 	x, y := planarData(30, 0.3)
-	obj, err := NewObjective(x, y, 0.05, true)
+	obj, err := newObjective(fit.NewLocal(x, y, 0), 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,11 @@ func TestObjectiveGradientNumeric(t *testing.T) {
 
 func TestRidgeShrinksWeights(t *testing.T) {
 	x, y := planarData(100, 0.5)
-	small, err := TrainExact(context.Background(), x, y, Options{Lambda: 1e-9})
+	small, err := TrainExactOn(context.Background(), fit.NewLocal(x, y, 0), Options{Lambda: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := TrainExact(context.Background(), x, y, Options{Lambda: 10})
+	big, err := TrainExactOn(context.Background(), fit.NewLocal(x, y, 0), Options{Lambda: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,11 @@ func TestTrainOverPagedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mh, err := Train(context.Background(), xh, y, Options{MaxIterations: 50})
+	mh, err := TrainOn(context.Background(), fit.NewLocal(xh, y, 0), Options{MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := Train(context.Background(), xp, y, Options{MaxIterations: 50})
+	mp, err := TrainOn(context.Background(), fit.NewLocal(xp, y, 0), Options{MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

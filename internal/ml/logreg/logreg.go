@@ -45,7 +45,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ResolveOptions applies the defaults Train would, for callers that
+// ResolveOptions applies the defaults TrainOn would, for callers that
 // build the objective themselves and drive it through TrainWith.
 func ResolveOptions(opts Options) Options { return opts.withDefaults() }
 
@@ -59,19 +59,15 @@ type Model struct {
 	Result optimize.Result
 }
 
-// Train fits a binary logistic regression model with L-BFGS. Every
-// objective evaluation is one blocked, worker-pooled pass over the
-// (possibly memory-mapped) data on the shared execution layer; the
+// TrainOn fits a binary logistic regression model with L-BFGS over any
+// source of rows — the one driver local and distributed fits share.
+// Every objective evaluation is one blocked, worker-pooled pass over
+// the (possibly memory-mapped) data on the shared execution layer; the
 // model is bit-identical for every worker count and every storage
 // backend. ctx cancels the fit within one data block (the returned
-// error is then ctx.Err()). Labels must be 0 or 1.
-func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
-	return TrainOn(ctx, fit.NewLocal(x, y, opts.Workers), false, 0, opts)
-}
-
-// TrainOn is Train over any source of rows — the one driver local and
-// distributed fits share. With binarize set, the source's labels equal
-// to positive are the 1 class; otherwise they must already be 0 or 1.
+// error is then ctx.Err()). With binarize set, the source's labels
+// equal to positive are the 1 class; otherwise they must already be 0
+// or 1.
 func TrainOn(ctx context.Context, src fit.Source, binarize bool, positive float64, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {

@@ -6,9 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"m3/internal/dataset"
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
-	"m3/internal/store"
 	"m3/internal/vm"
 )
 
@@ -39,7 +40,7 @@ func twoBlobs(n int) (*mat.Dense, []float64) {
 
 func TestTrainSeparable(t *testing.T) {
 	x, y := twoBlobs(200)
-	m, err := Train(context.Background(), x, y, Options{})
+	m, err := TrainOn(context.Background(), fit.NewLocal(x, y, 0), false, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestTrainSeparable(t *testing.T) {
 
 func TestTrainNoIntercept(t *testing.T) {
 	x, y := twoBlobs(100)
-	m, err := Train(context.Background(), x, y, Options{NoIntercept: true})
+	m, err := TrainOn(context.Background(), fit.NewLocal(x, y, 0), false, 0, Options{NoIntercept: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestTrainOverPagedStoreSameModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mh, err := Train(context.Background(), xh, y, Options{MaxIterations: 15})
+	mh, err := TrainOn(context.Background(), fit.NewLocal(xh, y, 0), false, 0, Options{MaxIterations: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := Train(context.Background(), xp, y, Options{MaxIterations: 15})
+	mp, err := TrainOn(context.Background(), fit.NewLocal(xp, y, 0), false, 0, Options{MaxIterations: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +195,8 @@ func TestTrainOverPagedStoreSameModel(t *testing.T) {
 func TestSoftmaxGradient(t *testing.T) {
 	g := infimnist.Generator{Seed: 4}
 	xs, labels := g.Matrix(0, 20)
-	y := make([]int, 20)
-	for i, v := range labels {
-		y[i] = int(v)
-	}
 	x := mat.NewDenseFrom(xs, 20, infimnist.Features)
-	obj, err := NewSoftmaxObjective(x, y, 10, 0.01, true)
+	obj, err := newSoftmaxObjective(fit.NewLocal(x, labels, 0), 10, 0.01, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +225,13 @@ func TestSoftmaxGradient(t *testing.T) {
 
 func TestSoftmaxValidation(t *testing.T) {
 	x := mat.NewDense(2, 3)
-	if _, err := NewSoftmaxObjective(x, []int{0, 1}, 1, 0, true); err == nil {
+	if _, err := newSoftmaxObjective(fit.NewLocal(x, []float64{0, 1}, 0), 1, 0, true); err == nil {
 		t.Error("accepted 1 class")
 	}
-	if _, err := NewSoftmaxObjective(x, []int{0}, 3, 0, true); err == nil {
+	if _, err := newSoftmaxObjective(fit.NewLocal(x, []float64{0}, 0), 3, 0, true); err == nil {
 		t.Error("accepted mismatched labels")
 	}
-	if _, err := NewSoftmaxObjective(x, []int{0, 3}, 3, 0, true); err == nil {
+	if _, err := newSoftmaxObjective(fit.NewLocal(x, []float64{0, 3}, 0), 3, 0, true); err == nil {
 		t.Error("accepted out-of-range label")
 	}
 }
@@ -248,7 +245,7 @@ func TestSoftmaxLearnsDigits(t *testing.T) {
 		y[i] = int(v)
 	}
 	x := mat.NewDenseFrom(xs, n, infimnist.Features)
-	m, err := TrainSoftmax(context.Background(), x, y, 10, Options{MaxIterations: 40, Lambda: 1e-4})
+	m, err := TrainSoftmaxOn(context.Background(), fit.NewLocal(x, labels, 0), 10, Options{MaxIterations: 40, Lambda: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +267,8 @@ func TestSoftmaxLearnsDigits(t *testing.T) {
 func TestSoftmaxScoresMatchPredict(t *testing.T) {
 	g := infimnist.Generator{Seed: 2}
 	xs, labels := g.Matrix(0, 50)
-	y := make([]int, 50)
-	for i, v := range labels {
-		y[i] = int(v)
-	}
 	x := mat.NewDenseFrom(xs, 50, infimnist.Features)
-	m, err := TrainSoftmax(context.Background(), x, y, 10, Options{MaxIterations: 10})
+	m, err := TrainSoftmaxOn(context.Background(), fit.NewLocal(x, labels, 0), 10, Options{MaxIterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +294,13 @@ func TestTrainMappedDataset(t *testing.T) {
 	if err := g.WriteDataset(path, 100); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := store.OpenMapped(path)
+	ds, err := dataset.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Close()
-	// Payload layout: header page (512 floats), then X, then labels.
-	const headerElems = 512
-	n, d := 100, infimnist.Features
-	xAll := ms.Data()[headerElems : headerElems+n*d]
-	lbl := ms.Data()[headerElems+n*d : headerElems+n*d+n]
-	x := mat.NewDenseFrom(xAll, n, d)
+	defer ds.Close()
+	x, lbl := ds.X(), ds.Labels()
+	n := x.Rows()
 	// Binary task: digit 0 vs rest.
 	y := make([]float64, n)
 	for i, v := range lbl {
@@ -319,7 +308,7 @@ func TestTrainMappedDataset(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	m, err := Train(context.Background(), x, y, Options{MaxIterations: 30})
+	m, err := TrainOn(context.Background(), fit.NewLocal(x, y, 0), false, 0, Options{MaxIterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

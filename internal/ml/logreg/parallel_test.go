@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 )
@@ -120,7 +121,7 @@ func TestTrainParallelLearns(t *testing.T) {
 	xh, y := twoBlobs(300)
 	opts := Options{MaxIterations: 30}
 	opts.FitOptions.Workers = 4
-	m, err := Train(context.Background(), xh, y, opts)
+	m, err := TrainOn(context.Background(), fit.NewLocal(xh, y, opts.Workers), false, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

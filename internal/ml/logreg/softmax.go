@@ -33,12 +33,6 @@ type SoftmaxObjective struct {
 	err error
 }
 
-// NewSoftmaxObjective builds the objective over a local matrix; labels
-// must be in [0, classes).
-func NewSoftmaxObjective(x *mat.Dense, y []int, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
-	return newSoftmaxObjective(fit.NewLocalClasses(x, y, 0), classes, lambda, intercept)
-}
-
 // newSoftmaxObjective validates the options and the source's labels.
 func newSoftmaxObjective(src fit.Source, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
 	if lambda < 0 {
@@ -194,15 +188,11 @@ type SoftmaxModel struct {
 	Result optimize.Result
 }
 
-// TrainSoftmax fits a K-class softmax regression model with L-BFGS on
-// blocked, worker-pooled data scans. ctx cancels the fit within one
+// TrainSoftmaxOn fits a K-class softmax regression model with L-BFGS
+// on blocked, worker-pooled scans of any source of rows — the one
+// driver local and distributed fits share. The source's labels must
+// be class indices in [0, classes). ctx cancels the fit within one
 // data block.
-func TrainSoftmax(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*SoftmaxModel, error) {
-	return TrainSoftmaxOn(ctx, fit.NewLocalClasses(x, y, opts.Workers), classes, opts)
-}
-
-// TrainSoftmaxOn is TrainSoftmax over any source of rows — the one
-// driver local and distributed fits share.
 func TrainSoftmaxOn(ctx context.Context, src fit.Source, classes int, opts Options) (*SoftmaxModel, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 	"m3/internal/ml/bayes"
@@ -20,25 +21,19 @@ import (
 	"m3/internal/ml/preprocess"
 )
 
-func digitData(t *testing.T, n int) (*mat.Dense, []float64, []int) {
+// digitData returns n digits, their 0-vs-rest labels and their class
+// labels.
+func digitData(t *testing.T, n int) (*mat.Dense, []float64, []float64) {
 	t.Helper()
 	g := infimnist.Generator{Seed: 17}
 	xs, labels := g.Matrix(0, int64(n))
 	x := mat.NewDenseFrom(xs, n, infimnist.Features)
-	yb := make([]float64, n)
-	yi := make([]int, n)
-	for i, v := range labels {
-		yi[i] = int(v)
-		if v == 0 {
-			yb[i] = 1
-		}
-	}
-	return x, yb, yi
+	return x, fit.BinaryLabels(labels, 0), labels
 }
 
 func TestLogisticRoundTrip(t *testing.T) {
 	x, y, _ := digitData(t, 80)
-	m, err := logreg.Train(context.Background(), x, y, logreg.Options{MaxIterations: 10})
+	m, err := logreg.TrainOn(context.Background(), fit.NewLocal(x, y, 0), false, 0, logreg.Options{MaxIterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +58,8 @@ func TestLogisticRoundTrip(t *testing.T) {
 }
 
 func TestSoftmaxRoundTrip(t *testing.T) {
-	x, _, yi := digitData(t, 80)
-	m, err := logreg.TrainSoftmax(context.Background(), x, yi, 10, logreg.Options{MaxIterations: 8})
+	x, _, labels := digitData(t, 80)
+	m, err := logreg.TrainSoftmaxOn(context.Background(), fit.NewLocal(x, labels, 0), 10, logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func TestLinearRoundTrip(t *testing.T) {
 		x.Set(i, 1, float64(i%7))
 		y[i] = 2*float64(i) - float64(i%7) + 1
 	}
-	m, err := linreg.Train(context.Background(), x, y, linreg.Options{})
+	m, err := linreg.TrainOn(context.Background(), fit.NewLocal(x, y, 0), linreg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +135,8 @@ func TestKMeansRoundTripFile(t *testing.T) {
 }
 
 func TestBayesRoundTrip(t *testing.T) {
-	x, _, yi := digitData(t, 100)
-	m, err := bayes.Train(context.Background(), x, yi, 10, bayes.Options{})
+	x, _, labels := digitData(t, 100)
+	m, err := bayes.TrainOn(context.Background(), fit.NewLocal(x, labels, 0), 10, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +175,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestPCARoundTrip(t *testing.T) {
 	x, _, _ := digitData(t, 80)
-	res, err := pca.Fit(context.Background(), x, pca.Options{Components: 3, Seed: 4})
+	res, err := pca.FitOn(context.Background(), fit.NewLocal(x, nil, 0), pca.Options{Components: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,16 +123,11 @@ func (r *Result) BlockKernel() exec.RowKernel {
 	}
 }
 
-// Fit computes the decomposition. The data matrix is scanned exactly
-// twice (mean pass + covariance pass); all further work is on the
-// D×D covariance. ctx cancels either scan within one data block and
-// the power iteration between components.
-func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
-	return FitOn(ctx, fit.NewLocal(x, nil, opts.Workers), opts)
-}
-
-// FitOn is Fit over any source of rows — the one driver local and
-// distributed fits share: two pass reductions, then the decomposition.
+// FitOn computes the decomposition over any source of rows — the one
+// driver local and distributed fits share. The rows are scanned
+// exactly twice (mean pass + covariance pass); all further work is on
+// the D×D covariance. ctx cancels either scan within one data block
+// and the power iteration between components.
 func FitOn(ctx context.Context, src fit.Source, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"m3/internal/blas"
+	"m3/internal/fit"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
 )
@@ -31,7 +32,7 @@ func anisotropic(n int) *mat.Dense {
 
 func TestFitFindsDominantDirection(t *testing.T) {
 	x := anisotropic(500)
-	res, err := Fit(context.Background(), x, Options{Components: 2, Seed: 1})
+	res, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestComponentsOrthonormal(t *testing.T) {
 	g := infimnist.Generator{Seed: 2}
 	xs, _ := g.Matrix(0, 150)
 	x := mat.NewDenseFrom(xs, 150, infimnist.Features)
-	res, err := Fit(context.Background(), x, Options{Components: 5, Seed: 3})
+	res, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestComponentsOrthonormal(t *testing.T) {
 
 func TestTransformReconstructRoundTrip(t *testing.T) {
 	x := anisotropic(300)
-	res, err := Fit(context.Background(), x, Options{Components: 2, Seed: 5})
+	res, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCompressionQualityOnDigits(t *testing.T) {
 	g := infimnist.Generator{Seed: 7}
 	xs, _ := g.Matrix(0, 200)
 	x := mat.NewDenseFrom(xs, 200, infimnist.Features)
-	res, err := Fit(context.Background(), x, Options{Components: 20, Seed: 1})
+	res, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,21 +128,21 @@ func TestCompressionQualityOnDigits(t *testing.T) {
 
 func TestFitValidation(t *testing.T) {
 	x := anisotropic(10)
-	if _, err := Fit(context.Background(), x, Options{Components: 0}); err == nil {
+	if _, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 0}); err == nil {
 		t.Error("accepted 0 components")
 	}
-	if _, err := Fit(context.Background(), x, Options{Components: 3}); err == nil {
+	if _, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 3}); err == nil {
 		t.Error("accepted components > features")
 	}
 	one := mat.NewDense(1, 2)
-	if _, err := Fit(context.Background(), one, Options{Components: 1}); err == nil {
+	if _, err := FitOn(context.Background(), fit.NewLocal(one, nil, 0), Options{Components: 1}); err == nil {
 		t.Error("accepted single row")
 	}
 }
 
 func TestTransformPanicsOnShape(t *testing.T) {
 	x := anisotropic(50)
-	res, err := Fit(context.Background(), x, Options{Components: 1, Seed: 2})
+	res, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,11 @@ func TestTransformPanicsOnShape(t *testing.T) {
 
 func TestDeterministicInSeed(t *testing.T) {
 	x := anisotropic(100)
-	a, err := Fit(context.Background(), x, Options{Components: 2, Seed: 11})
+	a, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fit(context.Background(), x, Options{Components: 2, Seed: 11})
+	b, err := FitOn(context.Background(), fit.NewLocal(x, nil, 0), Options{Components: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

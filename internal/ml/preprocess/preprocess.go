@@ -1,7 +1,7 @@
-// Package preprocess provides feature scaling and label utilities
-// fitted in single streaming passes, so preprocessing a memory-mapped
-// dataset costs exactly one scan — the same currency every other M3
-// stage is priced in.
+// Package preprocess provides feature scaling fitted in single
+// streaming passes, so preprocessing a memory-mapped dataset costs
+// exactly one scan — the same currency every other M3 stage is priced
+// in.
 //
 // The fitting scans run blocked on the shared chunked-execution layer
 // (internal/exec): each block accumulates its own moments (Welford) or
@@ -87,16 +87,11 @@ var momentsPass = fit.Declare("moments", func(sh *fit.Shard, _ struct{}) (exec.A
 	}, nil
 })
 
-// FitStandard computes per-feature mean and standard deviation in one
-// blocked scan (per-block Welford, numerically stable for long
-// streams; block partials merge in ascending block order). ctx cancels
-// the scan within one data block.
-func FitStandard(ctx context.Context, x *mat.Dense, opts Options) (*StandardScaler, error) {
-	return FitStandardOn(ctx, fit.NewLocal(x, nil, opts.Workers))
-}
-
-// FitStandardOn is FitStandard over any source of rows — the one
-// driver local and distributed fits share.
+// FitStandardOn computes per-feature mean and standard deviation in
+// one blocked scan of any source of rows (per-block Welford,
+// numerically stable for long streams; block partials merge in
+// ascending block order) — the one driver local and distributed fits
+// share. ctx cancels the scan within one data block.
 func FitStandardOn(ctx context.Context, src fit.Source) (*StandardScaler, error) {
 	if n, _ := src.Dims(); n < 2 {
 		return nil, fmt.Errorf("preprocess: need >= 2 rows, got %d", n)
@@ -217,14 +212,9 @@ var extremaPass = fit.Declare("extrema", func(sh *fit.Shard, _ struct{}) (exec.A
 	}, nil
 })
 
-// FitMinMax computes per-feature minima and ranges in one blocked
-// scan. ctx cancels the scan within one data block.
-func FitMinMax(ctx context.Context, x *mat.Dense, opts Options) (*MinMaxScaler, error) {
-	return FitMinMaxOn(ctx, fit.NewLocal(x, nil, opts.Workers))
-}
-
-// FitMinMaxOn is FitMinMax over any source of rows — the one driver
-// local and distributed fits share.
+// FitMinMaxOn computes per-feature minima and ranges in one blocked
+// scan of any source of rows — the one driver local and distributed
+// fits share. ctx cancels the scan within one data block.
 func FitMinMaxOn(ctx context.Context, src fit.Source) (*MinMaxScaler, error) {
 	if n, _ := src.Dims(); n < 1 {
 		return nil, fmt.Errorf("preprocess: empty matrix")
@@ -267,16 +257,4 @@ func (s *MinMaxScaler) TransformRow(row []float64) {
 	for j := range row {
 		row[j] = (row[j] - s.Min[j]) / s.Range[j]
 	}
-}
-
-// BinaryLabels converts multiclass labels to a 0/1 vector marking the
-// positive class — the "digit d vs rest" tasks of the experiments.
-func BinaryLabels(labels []float64, positive float64) []float64 {
-	return fit.BinaryLabels(labels, positive)
-}
-
-// IntLabels converts float labels to ints, validating they are whole
-// numbers within [0, classes).
-func IntLabels(labels []float64, classes int) ([]int, error) {
-	return fit.IntLabels(labels, classes)
 }

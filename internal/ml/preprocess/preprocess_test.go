@@ -25,7 +25,7 @@ func sampleMatrix() *mat.Dense {
 }
 
 func TestFitStandard(t *testing.T) {
-	s, err := FitStandard(context.Background(), sampleMatrix(), Options{})
+	s, err := FitStandardOn(context.Background(), fit.NewLocal(sampleMatrix(), nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFitStandard(t *testing.T) {
 
 func TestStandardTransformInPlace(t *testing.T) {
 	x := sampleMatrix()
-	s, err := FitStandard(context.Background(), x, Options{})
+	s, err := FitStandardOn(context.Background(), fit.NewLocal(x, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestStandardTransformInPlace(t *testing.T) {
 
 func TestStandardValidation(t *testing.T) {
 	one := mat.NewDense(1, 2)
-	if _, err := FitStandard(context.Background(), one, Options{}); err == nil {
+	if _, err := FitStandardOn(context.Background(), fit.NewLocal(one, nil, 0)); err == nil {
 		t.Error("accepted single row")
 	}
-	s, err := FitStandard(context.Background(), sampleMatrix(), Options{})
+	s, err := FitStandardOn(context.Background(), fit.NewLocal(sampleMatrix(), nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStandardValidation(t *testing.T) {
 }
 
 func TestFitMinMax(t *testing.T) {
-	s, err := FitMinMax(context.Background(), sampleMatrix(), Options{})
+	s, err := FitMinMaxOn(context.Background(), fit.NewLocal(sampleMatrix(), nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFitMinMax(t *testing.T) {
 }
 
 func TestBinaryLabels(t *testing.T) {
-	got := BinaryLabels([]float64{0, 1, 2, 0, 5}, 0)
+	got := fit.BinaryLabels([]float64{0, 1, 2, 0, 5}, 0)
 	want := []float64{1, 0, 0, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -120,20 +120,20 @@ func TestBinaryLabels(t *testing.T) {
 }
 
 func TestIntLabels(t *testing.T) {
-	got, err := IntLabels([]float64{0, 3, 9}, 10)
+	got, err := fit.IntLabels([]float64{0, 3, 9}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[1] != 3 {
 		t.Errorf("IntLabels = %v", got)
 	}
-	if _, err := IntLabels([]float64{1.5}, 10); err == nil {
+	if _, err := fit.IntLabels([]float64{1.5}, 10); err == nil {
 		t.Error("accepted fractional label")
 	}
-	if _, err := IntLabels([]float64{10}, 10); err == nil {
+	if _, err := fit.IntLabels([]float64{10}, 10); err == nil {
 		t.Error("accepted out-of-range label")
 	}
-	if _, err := IntLabels([]float64{-1}, 10); err == nil {
+	if _, err := fit.IntLabels([]float64{-1}, 10); err == nil {
 		t.Error("accepted negative label")
 	}
 }
@@ -157,7 +157,7 @@ func TestPropertyStandardInvertible(t *testing.T) {
 				x.Set(i, j, next())
 			}
 		}
-		s, err := FitStandard(context.Background(), x, Options{})
+		s, err := FitStandardOn(context.Background(), fit.NewLocal(x, nil, 0))
 		if err != nil {
 			return false
 		}
@@ -194,20 +194,20 @@ func TestFitScansDeterministicAcrossWorkers(t *testing.T) {
 			x.Set(i, j, next())
 		}
 	}
-	refStd, err := FitStandard(context.Background(), x, Options{FitOptions: fit.FitOptions{Workers: 1}})
+	refStd, err := FitStandardOn(context.Background(), fit.NewLocal(x, nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMM, err := FitMinMax(context.Background(), x, Options{FitOptions: fit.FitOptions{Workers: 1}})
+	refMM, err := FitMinMaxOn(context.Background(), fit.NewLocal(x, nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		s, err := FitStandard(context.Background(), x, Options{FitOptions: fit.FitOptions{Workers: workers}})
+		s, err := FitStandardOn(context.Background(), fit.NewLocal(x, nil, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := FitMinMax(context.Background(), x, Options{FitOptions: fit.FitOptions{Workers: workers}})
+		m, err := FitMinMaxOn(context.Background(), fit.NewLocal(x, nil, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,10 +226,10 @@ func TestFitScansDeterministicAcrossWorkers(t *testing.T) {
 func TestFitStandardCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FitStandard(ctx, sampleMatrix(), Options{}); err != context.Canceled {
+	if _, err := FitStandardOn(ctx, fit.NewLocal(sampleMatrix(), nil, 0)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := FitMinMax(ctx, sampleMatrix(), Options{}); err != context.Canceled {
+	if _, err := FitMinMaxOn(ctx, fit.NewLocal(sampleMatrix(), nil, 0)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -89,12 +89,6 @@ type Region struct {
 // PageSize returns the system page size.
 func PageSize() int { return os.Getpagesize() }
 
-// RoundUp rounds n up to a multiple of the system page size.
-func RoundUp(n int64) int64 {
-	ps := int64(PageSize())
-	return (n + ps - 1) / ps * ps
-}
-
 // Map maps length bytes of f starting at offset. If writable is true
 // the mapping is MAP_SHARED read-write, so stores propagate to the
 // file; otherwise it is a read-only shared mapping.
@@ -156,40 +150,6 @@ func Alloc(path string, size int64) (*Region, error) {
 		return nil, fmt.Errorf("mmap: truncating %q to %d bytes: %w", path, size, err)
 	}
 	return Map(f, 0, int(size), true)
-}
-
-// OpenRW opens an existing file and maps it read-write without
-// truncation.
-func OpenRW(path string) (*Region, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() == 0 {
-		return nil, fmt.Errorf("mmap: %q is empty", path)
-	}
-	return Map(f, 0, int(fi.Size()), true)
-}
-
-// Anon returns an anonymous (not file-backed) writable mapping of
-// size bytes, useful for scratch space that should not count against
-// the Go heap.
-func Anon(size int64) (*Region, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mmap: non-positive size %d", size)
-	}
-	b, err := syscall.Mmap(-1, 0, int(size),
-		syscall.PROT_READ|syscall.PROT_WRITE,
-		syscall.MAP_PRIVATE|syscall.MAP_ANON)
-	if err != nil {
-		return nil, fmt.Errorf("mmap: anonymous mapping of %d bytes: %w", size, err)
-	}
-	return &Region{data: b, writable: true, anon: true}, nil
 }
 
 // Bytes returns the mapped bytes. The slice is invalid after Unmap.
@@ -263,31 +223,6 @@ func (r *Region) AdviseRange(a Advice, off, length int64) error {
 	}
 	if err := syscall.Madvise(r.data[start:end], adv); err != nil {
 		return fmt.Errorf("mmap: madvise(%s, [%d,%d)): %w", a, start, end, err)
-	}
-	return nil
-}
-
-// Lock pins the region's pages in RAM (mlock(2)), exempting them
-// from reclaim — useful for model parameters that must never fault
-// while the data matrix churns the page cache. It may fail with
-// ENOMEM when the region exceeds RLIMIT_MEMLOCK.
-func (r *Region) Lock() error {
-	if r.data == nil {
-		return ErrClosed
-	}
-	if err := syscall.Mlock(r.data); err != nil {
-		return fmt.Errorf("mmap: mlock: %w", err)
-	}
-	return nil
-}
-
-// Unlock releases a Lock.
-func (r *Region) Unlock() error {
-	if r.data == nil {
-		return ErrClosed
-	}
-	if err := syscall.Munlock(r.data); err != nil {
-		return fmt.Errorf("mmap: munlock: %w", err)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package mmap
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -97,7 +99,7 @@ func TestAllocRejectsBadSize(t *testing.T) {
 }
 
 func TestAnon(t *testing.T) {
-	r, err := Anon(1 << 16)
+	r, err := anon(1 << 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestAnon(t *testing.T) {
 }
 
 func TestAdviseAllHints(t *testing.T) {
-	r, err := Anon(1 << 14)
+	r, err := anon(1 << 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestAdviceString(t *testing.T) {
 }
 
 func TestUnmapIdempotent(t *testing.T) {
-	r, err := Anon(4096)
+	r, err := anon(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,69 +195,6 @@ func TestResidency(t *testing.T) {
 	}
 	if res != total {
 		t.Errorf("resident = %d/%d after touching all pages", res, total)
-	}
-}
-
-func TestOpenRW(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rw.bin")
-	r, err := Alloc(path, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Bytes()[100] = 42
-	if err := r.Unmap(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenRW(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Unmap()
-	if r2.Bytes()[100] != 42 {
-		t.Error("OpenRW did not see prior write")
-	}
-	r2.Bytes()[100] = 43 // must not fault
-	if !r2.Writable() {
-		t.Error("OpenRW region not writable")
-	}
-}
-
-func TestLockUnlock(t *testing.T) {
-	r, err := Anon(1 << 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Unmap()
-	if err := r.Lock(); err != nil {
-		t.Skipf("mlock unavailable (RLIMIT_MEMLOCK?): %v", err)
-	}
-	// Locked pages are resident by definition.
-	res, total, err := r.Residency()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != total {
-		t.Errorf("locked region %d/%d resident", res, total)
-	}
-	if err := r.Unlock(); err != nil {
-		t.Errorf("unlock: %v", err)
-	}
-	r.Unmap()
-	if err := r.Lock(); err != ErrClosed {
-		t.Errorf("Lock after Unmap = %v", err)
-	}
-	if err := r.Unlock(); err != ErrClosed {
-		t.Errorf("Unlock after Unmap = %v", err)
-	}
-}
-
-func TestRoundUp(t *testing.T) {
-	ps := int64(PageSize())
-	cases := map[int64]int64{0: 0, 1: ps, ps: ps, ps + 1: 2 * ps}
-	for in, want := range cases {
-		if got := RoundUp(in); got != want {
-			t.Errorf("RoundUp(%d) = %d want %d", in, got, want)
-		}
 	}
 }
 
@@ -327,4 +266,19 @@ func TestDiscard(t *testing.T) {
 	if err := r.Advise(Sequential); err != ErrClosed {
 		t.Errorf("Advise after Discard = %v, want ErrClosed", err)
 	}
+}
+
+// anon returns an anonymous (not file-backed) writable mapping of
+// size bytes, for tests that need a region without a file.
+func anon(size int64) (*Region, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("mmap: non-positive size %d", size)
+	}
+	b, err := syscall.Mmap(-1, 0, int(size),
+		syscall.PROT_READ|syscall.PROT_WRITE,
+		syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return nil, fmt.Errorf("mmap: anonymous mapping of %d bytes: %w", size, err)
+	}
+	return &Region{data: b, writable: true, anon: true}, nil
 }

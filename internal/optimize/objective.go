@@ -1,8 +1,8 @@
 // Package optimize implements the optimizers used by the paper's
 // experiments — most importantly L-BFGS, the quasi-Newton method
 // mlpack's logistic regression runs (the paper reports 10 iterations
-// of L-BFGS per data point in Figure 1) — together with a gradient
-// descent baseline and a strong-Wolfe line search shared by both.
+// of L-BFGS per data point in Figure 1) — and the strong-Wolfe line
+// search it runs.
 package optimize
 
 import "fmt"
@@ -19,18 +19,6 @@ type Objective interface {
 	// Eval returns f(x) and writes ∇f(x) into grad.
 	Eval(x, grad []float64) float64
 }
-
-// FuncObjective adapts a plain function to the Objective interface.
-type FuncObjective struct {
-	N int
-	F func(x, grad []float64) float64
-}
-
-// Dim returns the declared dimensionality.
-func (f FuncObjective) Dim() int { return f.N }
-
-// Eval invokes the wrapped function.
-func (f FuncObjective) Eval(x, grad []float64) float64 { return f.F(x, grad) }
 
 // Status describes how an optimization run ended.
 type Status int

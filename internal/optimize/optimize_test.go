@@ -6,9 +6,18 @@ import (
 	"testing"
 )
 
+// funcObjective adapts a plain function to the Objective interface.
+type funcObjective struct {
+	N int
+	F func(x, grad []float64) float64
+}
+
+func (f funcObjective) Dim() int                       { return f.N }
+func (f funcObjective) Eval(x, grad []float64) float64 { return f.F(x, grad) }
+
 // quadratic returns an Objective for f(x) = Σ cᵢ(xᵢ-tᵢ)², minimum at t.
 func quadratic(c, t []float64) Objective {
-	return FuncObjective{N: len(c), F: func(x, grad []float64) float64 {
+	return funcObjective{N: len(c), F: func(x, grad []float64) float64 {
 		var f float64
 		for i := range x {
 			d := x[i] - t[i]
@@ -21,7 +30,7 @@ func quadratic(c, t []float64) Objective {
 
 // rosenbrock is the classic banana function, minimum 0 at (1,...,1).
 func rosenbrock(n int) Objective {
-	return FuncObjective{N: n, F: func(x, grad []float64) float64 {
+	return funcObjective{N: n, F: func(x, grad []float64) float64 {
 		var f float64
 		for i := range grad {
 			grad[i] = 0
@@ -99,7 +108,7 @@ func TestLBFGSDimMismatch(t *testing.T) {
 }
 
 func TestLBFGSRejectsNaNStart(t *testing.T) {
-	obj := FuncObjective{N: 1, F: func(x, grad []float64) float64 {
+	obj := funcObjective{N: 1, F: func(x, grad []float64) float64 {
 		grad[0] = 1
 		return math.NaN()
 	}}
@@ -167,64 +176,6 @@ func TestLBFGSDoesNotModifyX0(t *testing.T) {
 	}
 	if x0[0] != 0 || x0[1] != 0 {
 		t.Errorf("x0 modified: %v", x0)
-	}
-}
-
-func TestLBFGSBeatsGDOnIllConditioned(t *testing.T) {
-	// With condition number 1e4, L-BFGS should need far fewer
-	// evaluations than gradient descent for the same accuracy —
-	// the reason mlpack (and hence the paper) uses it.
-	c := []float64{1, 1e4}
-	target := []float64{2, -1}
-	budgetTol := 1e-8
-
-	lb, err := LBFGS(context.Background(), quadratic(c, target), []float64{0, 0}, LBFGSParams{GradTol: budgetTol, MaxIterations: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, err := GradientDescent(context.Background(), quadratic(c, target), []float64{0, 0}, GDParams{GradTol: budgetTol, MaxIterations: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lb.Converged() {
-		t.Fatalf("LBFGS did not converge: %v", lb.Status)
-	}
-	if gd.Evaluations <= lb.Evaluations {
-		t.Errorf("GD evaluations (%d) <= LBFGS (%d); expected L-BFGS advantage", gd.Evaluations, lb.Evaluations)
-	}
-}
-
-func TestGradientDescentQuadratic(t *testing.T) {
-	obj := quadratic([]float64{2, 3}, []float64{-1, 4})
-	res, err := GradientDescent(context.Background(), obj, []float64{0, 0}, GDParams{MaxIterations: 10000, GradTol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged() {
-		t.Fatalf("status %v", res.Status)
-	}
-	if math.Abs(res.X[0]+1) > 1e-4 || math.Abs(res.X[1]-4) > 1e-4 {
-		t.Errorf("x = %v", res.X)
-	}
-}
-
-func TestGradientDescentDimMismatch(t *testing.T) {
-	obj := quadratic([]float64{1}, []float64{0})
-	if _, err := GradientDescent(context.Background(), obj, []float64{0, 0}, GDParams{}); err == nil {
-		t.Error("expected dimension error")
-	}
-}
-
-func TestGradientDescentCallback(t *testing.T) {
-	obj := quadratic([]float64{1}, []float64{10})
-	res, err := GradientDescent(context.Background(), obj, []float64{0}, GDParams{
-		Callback: func(info IterInfo) bool { return false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != CallbackStopped {
-		t.Errorf("status %v", res.Status)
 	}
 }
 
@@ -302,7 +253,7 @@ func TestLBFGSCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	evals := 0
-	_, err = LBFGS(ctx2, FuncObjective{N: 1, F: func(x, g []float64) float64 {
+	_, err = LBFGS(ctx2, funcObjective{N: 1, F: func(x, g []float64) float64 {
 		evals++
 		return 0
 	}}, []float64{1}, LBFGSParams{})
@@ -311,24 +262,5 @@ func TestLBFGSCancellation(t *testing.T) {
 	}
 	if evals != 0 {
 		t.Errorf("%d evaluations under a pre-cancelled context", evals)
-	}
-}
-
-// TestGradientDescentCancellation mirrors the LBFGS contract.
-func TestGradientDescentCancellation(t *testing.T) {
-	obj := quadratic([]float64{1, 3}, []float64{2, -1})
-	ctx, cancel := context.WithCancel(context.Background())
-	res, err := GradientDescent(ctx, obj, []float64{3, -2}, GDParams{
-		MaxIterations: 100,
-		Callback: func(info IterInfo) bool {
-			cancel()
-			return true
-		},
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res.Status != Canceled {
-		t.Errorf("status = %v, want Canceled", res.Status)
 	}
 }

@@ -9,7 +9,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is one (dataset size, runtime) measurement.
@@ -125,54 +124,4 @@ func Fit(points []Point, kneeBytes float64) (Model, error) {
 		return Model{}, fmt.Errorf("perfmodel: need points on both sides of the knee (%d in-RAM, %d out-of-core)", len(lo), len(hi))
 	}
 	return Model{KneeBytes: kneeBytes, InRAM: fitLine(lo), OutOfCore: fitLine(hi)}, nil
-}
-
-// FitAutoKnee searches candidate knees (midpoints between consecutive
-// sizes) for the split minimizing total squared error — recovering
-// the effective RAM size from runtime measurements alone.
-func FitAutoKnee(points []Point) (Model, error) {
-	if len(points) < 4 {
-		return Model{}, fmt.Errorf("perfmodel: need >= 4 points, got %d", len(points))
-	}
-	pts := append([]Point(nil), points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].SizeBytes < pts[j].SizeBytes })
-
-	best := Model{}
-	bestSSE := math.Inf(1)
-	found := false
-	for i := 1; i+1 < len(pts); i++ {
-		knee := (pts[i].SizeBytes + pts[i+1].SizeBytes) / 2
-		m, err := Fit(pts, knee)
-		if err != nil {
-			continue
-		}
-		var sse float64
-		for _, p := range pts {
-			d := p.Seconds - m.Predict(p.SizeBytes)
-			sse += d * d
-		}
-		if sse < bestSSE {
-			bestSSE, best, found = sse, m, true
-		}
-	}
-	if !found {
-		return Model{}, fmt.Errorf("perfmodel: no valid knee split")
-	}
-	return best, nil
-}
-
-// Linearity verifies the paper's claim on a measurement series: both
-// regimes fit a line with R² at least minR2.
-func Linearity(points []Point, kneeBytes, minR2 float64) error {
-	m, err := Fit(points, kneeBytes)
-	if err != nil {
-		return err
-	}
-	if m.InRAM.N >= 3 && m.InRAM.R2 < minR2 {
-		return fmt.Errorf("perfmodel: in-RAM regime R² = %.4f < %.4f", m.InRAM.R2, minR2)
-	}
-	if m.OutOfCore.N >= 3 && m.OutOfCore.R2 < minR2 {
-		return fmt.Errorf("perfmodel: out-of-core regime R² = %.4f < %.4f", m.OutOfCore.R2, minR2)
-	}
-	return nil
 }

@@ -76,37 +76,6 @@ func TestPredictSelectsRegime(t *testing.T) {
 	}
 }
 
-func TestFitAutoKneeFindsRAMSize(t *testing.T) {
-	const knee = 32e9
-	pts := synth(knee, 1e-9, 8e-9, paperSizes())
-	m, err := FitAutoKnee(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The detected knee must fall between the last in-RAM point
-	// (30 GB) and the first out-of-core one (40 GB).
-	if m.KneeBytes < 30e9 || m.KneeBytes > 40e9 {
-		t.Errorf("auto knee = %v GB", m.KneeBytes/1e9)
-	}
-	if _, err := FitAutoKnee(pts[:3]); err == nil {
-		t.Error("accepted 3 points")
-	}
-}
-
-func TestLinearity(t *testing.T) {
-	pts := synth(32e9, 1e-9, 8e-9, paperSizes())
-	if err := Linearity(pts, 32e9, 0.99); err != nil {
-		t.Errorf("exact series failed linearity: %v", err)
-	}
-	// Corrupt the out-of-core regime heavily.
-	bad := append([]Point(nil), pts...)
-	bad[len(bad)-1].Seconds *= 10
-	bad[len(bad)-2].Seconds *= 0.05
-	if err := Linearity(bad, 32e9, 0.99); err == nil {
-		t.Error("linearity passed on corrupted series")
-	}
-}
-
 func TestFitLineDegenerate(t *testing.T) {
 	// Single point and vertical stack must not divide by zero.
 	seg := fitLine([]Point{{SizeBytes: 5, Seconds: 7}})

@@ -11,14 +11,10 @@
 package store
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"m3/internal/mmap"
 )
-
-// ErrReadOnly is returned by write accessors of read-only stores.
-var ErrReadOnly = errors.New("store: read-only")
 
 // RangeAdviser is implemented by backends that can apply an madvise
 // hint to a sub-range of elements — the hook block schedulers use to
@@ -140,15 +136,6 @@ type Mapped struct {
 	touched atomic.Int64
 }
 
-// OpenMapped maps an existing file of float64 values read-only.
-func OpenMapped(path string) (*Mapped, error) {
-	data, region, err := mmap.OpenFloat64(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Mapped{region: region, data: data}, nil
-}
-
 // CreateMapped creates a file sized for n float64 elements and maps
 // it read-write — the paper's mmapAlloc.
 func CreateMapped(path string, n int64) (*Mapped, error) {
@@ -166,20 +153,6 @@ func CreateMapped(path string, n int64) (*Mapped, error) {
 // of the region: Close drops the reference without unmapping.
 func ViewMapped(region *mmap.Region, data []float64, byteOff int64) *Mapped {
 	return &Mapped{region: region, data: data, off: byteOff, view: true}
-}
-
-// OpenMappedRW maps an existing file read-write.
-func OpenMappedRW(path string) (*Mapped, error) {
-	region, err := mmap.OpenRW(path)
-	if err != nil {
-		return nil, err
-	}
-	data, err := region.Float64()
-	if err != nil {
-		region.Unmap()
-		return nil, err
-	}
-	return &Mapped{region: region, data: data}, nil
 }
 
 // Data returns the mapped element view.

@@ -69,13 +69,13 @@ func TestMappedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ro, err := OpenMapped(path)
+	ro, err := openMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
 	if ro.Writable() {
-		t.Error("OpenMapped should be read-only")
+		t.Error("openMapped should be read-only")
 	}
 	if ro.Len() != 512 {
 		t.Fatalf("Len = %d", ro.Len())
@@ -98,29 +98,17 @@ func TestMappedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenMappedRW(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rw.bin")
-	m, err := CreateMapped(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Data()[0] = 1
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rw, err := OpenMappedRW(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Close()
-	rw.Data()[0] = 2
-	if !rw.Writable() {
-		t.Error("not writable")
+func TestOpenMappedMissing(t *testing.T) {
+	if _, err := openMapped(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Error("expected error")
 	}
 }
 
-func TestOpenMappedMissing(t *testing.T) {
-	if _, err := OpenMapped(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("expected error")
+// openMapped maps an existing file of float64 values read-only.
+func openMapped(path string) (*Mapped, error) {
+	data, region, err := mmap.OpenFloat64(path)
+	if err != nil {
+		return nil, err
 	}
+	return &Mapped{region: region, data: data}, nil
 }

@@ -4,9 +4,10 @@
 // is fully offline (the main module is deliberately zero-dependency),
 // so instead of vendoring x/tools the tools module carries just the
 // slice of the framework the m3vet analyzers need: an Analyzer is a
-// named Run function over a type-checked package, diagnostics carry a
-// position and a message, and a driver (cmd/m3vet, or the analysistest
-// harness) owns loading, filtering and reporting.
+// named Run function over a type-checked package (or a RunAll function
+// over the whole loaded program), diagnostics carry a position and a
+// message, and a driver (cmd/m3vet, or the analysistest harness) owns
+// loading, filtering and reporting.
 package analysis
 
 import (
@@ -17,7 +18,8 @@ import (
 	"sort"
 )
 
-// Analyzer is one named invariant checker.
+// Analyzer is one named invariant checker. It sets exactly one of Run
+// and RunAll.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //m3vet:allow directives.
@@ -26,7 +28,12 @@ type Analyzer struct {
 	// m3vet -list.
 	Doc string
 	// Run checks one package and reports findings through the pass.
+	// It is called once for each pass that is not CallerOnly.
 	Run func(*Pass) error
+	// RunAll checks the whole program in one call: it sees every
+	// loaded pass, CallerOnly ones included, and reports through the
+	// pass a finding belongs to.
+	RunAll func([]*Pass) error
 }
 
 // Pass carries one type-checked package through an analyzer.
@@ -36,6 +43,11 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// CallerOnly marks a package loaded only for the references it
+	// makes (the rest of the module when the patterns named less, and
+	// nested modules such as benchmark/). Run never sees it, and
+	// RunAll reports nothing in it.
+	CallerOnly bool
 
 	diags []Diagnostic
 }
@@ -56,21 +68,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes a on one package and returns its findings, already
-// filtered through the //m3vet:allow directives in the package's
-// files and sorted by position.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
+// Run executes a over the loaded program and returns each pass's
+// findings (out[i] belongs to passes[i]), already filtered through the
+// //m3vet:allow directives in that pass's files and sorted by
+// position.
+func Run(a *Analyzer, passes []*Pass) ([][]Diagnostic, error) {
+	for _, p := range passes {
+		p.Analyzer = a
+		p.diags = nil
 	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path(), err)
+	if a.RunAll != nil {
+		if err := a.RunAll(passes); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	} else {
+		for _, p := range passes {
+			if p.CallerOnly {
+				continue
+			}
+			if err := a.Run(p); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, p.Pkg.Path(), err)
+			}
+		}
 	}
-	diags := Filter(fset, files, pass.diags)
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, nil
+	out := make([][]Diagnostic, len(passes))
+	for k, p := range passes {
+		diags := Filter(p.Fset, p.Files, p.diags)
+		sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+		out[k] = diags
+	}
+	return out, nil
 }

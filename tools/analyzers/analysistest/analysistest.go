@@ -73,27 +73,27 @@ func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expecta
 	return wants
 }
 
-// Run loads the module rooted at dir, applies a to every package
-// matching patterns (default ./...), and fails t unless the filtered
-// diagnostics exactly match the // want comments.
+// Run loads the module rooted at dir (with its nested modules as
+// callers), applies a to every package matching patterns (default
+// ./...), and fails t unless the filtered diagnostics exactly match
+// the // want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 	t.Helper()
-	pkgs, err := load.Packages(dir, patterns...)
+	passes, err := load.Program(dir, patterns...)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	if len(pkgs) == 0 {
+	if len(passes) == 0 {
 		t.Fatalf("no packages under %s", dir)
 	}
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if err != nil {
-			t.Errorf("%s: %v", pkg.Path, err)
-			continue
-		}
-		wants := parseWants(t, pkg.Fset, pkg.Files)
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
+	perPass, err := analysis.Run(a, passes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range passes {
+		wants := parseWants(t, p.Fset, p.Files)
+		for _, d := range perPass[i] {
+			pos := p.Fset.Position(d.Pos)
 			if !claim(wants, pos, d) {
 				t.Errorf("%s: unexpected diagnostic: %s: %s", pos, d.Analyzer, d.Message)
 			}

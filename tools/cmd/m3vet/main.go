@@ -2,7 +2,12 @@
 // package patterns and reports contract violations the stock
 // toolchain cannot see: unpolled iteration loops, unended spans,
 // unreleased pooled resources, map-order dependence in deterministic
-// reduce code, and exact float comparisons.
+// reduce code, exact float comparisons, and exported internal
+// identifiers that only tests call.
+//
+// The testonly analyzer is whole-program: m3vet also loads the rest
+// of the module and every nested module (benchmark/) as callers, which
+// the other analyzers do not analyse.
 //
 // Usage:
 //
@@ -28,6 +33,7 @@ import (
 	"m3/tools/analyzers/maporder"
 	"m3/tools/analyzers/pairedrelease"
 	"m3/tools/analyzers/spanend"
+	"m3/tools/analyzers/testonly"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -36,6 +42,7 @@ var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
 	pairedrelease.Analyzer,
 	spanend.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -54,7 +61,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := load.Packages(".", patterns...)
+	passes, err := load.Program(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "m3vet: %v\n", err)
 		os.Exit(2)
@@ -66,15 +73,15 @@ func main() {
 		diag analysis.Diagnostic
 	}
 	var found []located
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "m3vet: %s: %s: %v\n", pkg.Path, a.Name, err)
-				os.Exit(2)
-			}
+	for _, a := range analyzers {
+		perPass, err := analysis.Run(a, passes)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "m3vet: %v\n", err)
+			os.Exit(2)
+		}
+		for i, diags := range perPass {
 			for _, d := range diags {
-				p := pkg.Fset.Position(d.Pos)
+				p := passes[i].Fset.Position(d.Pos)
 				found = append(found, located{pos: p.String(), line: p.Line, diag: d})
 			}
 		}
