@@ -265,9 +265,13 @@ func dispatchGroup(e *Entry, reqs []*batchRequest) {
 		return
 	}
 
-	flat := make([]float64, 0, rows*want)
-	for _, r := range good {
-		flat = append(flat, r.rows...)
+	// A lone request's rows already are the batch matrix.
+	flat := good[0].rows
+	if len(good) > 1 {
+		flat = make([]float64, 0, rows*want)
+		for _, r := range good {
+			flat = append(flat, r.rows...)
+		}
 	}
 	x := mat.NewDenseFrom(flat, rows, want)
 	preds, err := snap.Model.PredictMatrix(x)

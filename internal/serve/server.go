@@ -29,6 +29,24 @@
 //	GET  /healthz                200 while serving, 503 once draining
 //	GET  /debug/pprof/...        net/http/pprof profiling endpoints
 //
+// The predict body is parsed in one pass straight into the batch's
+// row-major matrix (decode.go), not through encoding/json's
+// reflection. It must be one JSON object (RFC 8259; whitespace around
+// it is allowed). Its "rows" member is matched as encoding/json
+// matches a struct field: the key is unescaped, then compared exactly
+// or by Unicode case folding ("Rows", "ROWS"), and a repeated member
+// replaces the earlier one. "rows" is an array of arrays of JSON
+// numbers; row 0 fixes the width and must not be empty, and every
+// other row must match it. Each number is converted with
+// strconv.ParseFloat, the call encoding/json makes, so the values are
+// bit-identical to its decode; one outside float64's range is refused.
+// Every other member is skipped after its syntax is checked, nested up
+// to encoding/json's 10 000 levels. Anything else is a 400, including
+// three bodies encoding/json would have taken: bytes after the object
+// (json.Decoder never reads them), null as a row or a value (it
+// decodes them as an empty row and as 0), and an empty row 0 (a
+// matrix of zero columns).
+//
 // When a process tracer is installed (obs.StartTrace, m3serve
 // -trace), every prediction request and every flushed batch become
 // linked async spans in the Chrome trace-event export.
@@ -137,55 +155,50 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// predictRequest is the wire form of a prediction call.
-type predictRequest struct {
-	Rows [][]float64 `json:"rows"`
-}
-
 // predictResponse carries one value per request row.
 type predictResponse struct {
 	Model       string    `json:"model"`
 	Predictions []float64 `json:"predictions"`
 }
 
-// parsePredict validates and flattens the request body against the
-// entry's current metadata.
+// parsePredict decodes the request body straight into a batch
+// request's row-major matrix and validates it against the entry's
+// current metadata.
 func parsePredict(r *http.Request, w http.ResponseWriter, e *Entry) (*batchRequest, *httpError) {
-	var body predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&body); err != nil {
+	raw, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err != nil {
+		return nil, &httpError{http.StatusBadRequest, "reading body: " + err.Error()}
+	}
+	body, err := parseRows(raw)
+	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, "decoding body: " + err.Error()}
 	}
-	if len(body.Rows) == 0 {
+	if body.n == 0 {
 		return nil, &httpError{http.StatusBadRequest, "empty rows"}
 	}
 	info, err := e.Info()
 	if err != nil {
 		return nil, &httpError{http.StatusServiceUnavailable, err.Error()}
 	}
-	cols := len(body.Rows[0])
-	if info.InputCols > 0 && cols != info.InputCols {
+	if info.InputCols > 0 && body.cols != info.InputCols {
 		return nil, &httpError{http.StatusBadRequest,
-			"model " + e.Name() + " expects " + strconv.Itoa(info.InputCols) + " columns, request has " + strconv.Itoa(cols)}
+			"model " + e.Name() + " expects " + strconv.Itoa(info.InputCols) + " columns, request has " + strconv.Itoa(body.cols)}
 	}
-	flat := make([]float64, 0, len(body.Rows)*cols)
-	for i, row := range body.Rows {
-		if len(row) != cols {
-			return nil, &httpError{http.StatusBadRequest,
-				"ragged rows: row " + strconv.Itoa(i) + " has " + strconv.Itoa(len(row)) + " values, row 0 has " + strconv.Itoa(cols)}
-		}
-		flat = append(flat, row...)
+	if body.ragged >= 0 {
+		return nil, &httpError{http.StatusBadRequest,
+			"ragged rows: row " + strconv.Itoa(body.ragged) + " has " + strconv.Itoa(body.raggedW) + " values, row 0 has " + strconv.Itoa(body.cols)}
 	}
 	return &batchRequest{
 		entry: e,
-		rows:  flat,
-		n:     len(body.Rows),
-		cols:  cols,
+		rows:  body.vals,
+		n:     body.n,
+		cols:  body.cols,
 		out:   make(chan result, 1),
 	}, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	start := time.Now() // served latency includes reading and decoding the body
 	name := r.PathValue("name")
 	entry, ok := s.reg.Get(name)
 	if !ok {
@@ -203,7 +216,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		tr.AsyncBegin("serve", "request "+name, req.obsID, map[string]any{"rows": req.n})
 		defer tr.AsyncEnd("serve", "request "+name, req.obsID, nil)
 	}
-	start := time.Now()
 	entry.metrics.request(req.n)
 	if err := s.batcher.Submit(req); err != nil {
 		entry.metrics.requestErrors(1)
