@@ -80,7 +80,8 @@ import (
 // modest matrices.
 const DefaultBlockBytes = 256 << 10
 
-// Block is a half-open range [Lo, Hi) of items (rows, edges, ...).
+// Block is a half-open range [Lo, Hi) of items (matrix rows, rendered
+// images).
 type Block struct {
 	Lo, Hi int
 }
@@ -97,25 +98,11 @@ func Workers(n int) int {
 	return n
 }
 
-// Partition splits n items of itemBytes bytes each into equal-size
-// blocks (the last one keeps the remainder). The block budget is
-// snapped up to a whole number of pages and then filled with whole
-// items, so a block spans at least one page; block boundaries land on
-// item boundaries and coincide with page boundaries only when
-// itemBytes divides the budget.
-// targetBlockBytes <= 0 selects DefaultBlockBytes. The
-// result depends only on (n, itemBytes, targetBlockBytes) — never on
-// the worker count — which is what makes downstream reductions
-// deterministic under any parallelism.
-func Partition(n, itemBytes, targetBlockBytes int) []Block {
-	if n <= 0 {
-		return nil
-	}
-	per := itemsPerBlock(itemBytes, targetBlockBytes)
-	return appendBlocks(make([]Block, 0, (n+per-1)/per), 0, n, per)
-}
-
-// itemsPerBlock is Partition's block height.
+// itemsPerBlock is the block height for items of itemBytes bytes: the
+// target budget (<= 0 selects DefaultBlockBytes) snapped up to a whole
+// number of pages, then filled with whole items, so a block spans at
+// least one page. Block boundaries coincide with page boundaries only
+// when itemBytes divides the budget.
 func itemsPerBlock(itemBytes, targetBlockBytes int) int {
 	if itemBytes <= 0 {
 		itemBytes = 8
@@ -238,7 +225,7 @@ func mapReduceWorker[T any](ctx context.Context, blocks []Block, workers int, ou
 	// and pile up unmerged partials, and with a reset — a slot then
 	// keeps its state for its next holder — no more than window states
 	// are ever allocated: min(window, blocks) of them, whatever the
-	// timing. That matters when a partial is a whole vector (PageRank)
+	// timing. That matters when a partial is a whole vector (a gradient)
 	// or a K×D block (k-means).
 	window := 2 * workers
 	slots := make(chan *recycler[T], window)

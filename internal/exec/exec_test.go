@@ -17,45 +17,55 @@ import (
 	"m3/internal/vm"
 )
 
+// TestPartitionCoversExactlyOnce: RowScan.Blocks tiles [0, rows) with
+// non-empty, contiguous blocks at the edges of the partition — one
+// row, a row wider than a block, a one-byte budget — and yields no
+// block for no rows.
 func TestPartitionCoversExactlyOnce(t *testing.T) {
-	cases := []struct{ n, itemBytes, target int }{
+	for _, c := range []struct{ rows, cols, blockBytes int }{
 		{1, 8, 0},
-		{100, 784 * 8, 0},
-		{4096, 8, 4096},
-		{17, 16, 1},
-		{1000, 100000, 0}, // item larger than a block
-	}
-	for _, c := range cases {
-		blocks := exec.Partition(c.n, c.itemBytes, c.target)
+		{100, 784, 0},
+		{4096, 1, 4096},
+		{17, 2, 1},
+		{1000, 40000, 0}, // 320 000-byte rows: one row per block
+	} {
+		blocks := exec.RowScan{Rows: c.rows, Cols: c.cols, BlockBytes: c.blockBytes}.Blocks()
 		next := 0
 		for _, b := range blocks {
 			if b.Lo != next || b.Hi <= b.Lo {
-				t.Fatalf("Partition(%v): bad block %+v after %d", c, b, next)
+				t.Fatalf("Blocks(%+v): bad block %+v after %d", c, b, next)
 			}
 			next = b.Hi
 		}
-		if next != c.n {
-			t.Errorf("Partition(%v): covered %d of %d items", c, next, c.n)
+		if next != c.rows {
+			t.Errorf("Blocks(%+v): covered %d of %d rows", c, next, c.rows)
 		}
 	}
-	if got := exec.Partition(0, 8, 0); got != nil {
-		t.Errorf("Partition(0) = %v, want nil", got)
+	if got := (exec.RowScan{Rows: 0, Cols: 8}).Blocks(); len(got) != 0 {
+		t.Errorf("Blocks(rows=0) = %v, want none", got)
 	}
 }
 
-// TestPartitionIsPageAligned covers the divisible case: when the
-// item size divides the page-rounded budget, interior block spans are
-// exact page multiples.
-func TestPartitionIsPageAligned(t *testing.T) {
+// TestBlocksArePageAligned: within a merge group, every block but the
+// group's last spans a whole number of pages when the row width
+// divides the page-rounded budget.
+func TestBlocksArePageAligned(t *testing.T) {
 	ps := mmap.PageSize()
-	blocks := exec.Partition(1<<20, 8, 0)
-	if len(blocks) < 2 {
-		t.Fatalf("expected multiple blocks, got %d", len(blocks))
-	}
-	for _, b := range blocks[:len(blocks)-1] {
-		if (b.Len()*8)%ps != 0 {
-			t.Errorf("block %+v spans %d bytes, not a page multiple", b, b.Len()*8)
+	const rows, cols = 1 << 20, 8
+	s := exec.RowScan{Rows: rows, Cols: cols, Stride: cols}
+	gr := exec.GroupRows(rows)
+	interior := 0
+	for _, b := range s.Blocks() {
+		if b.Hi%gr == 0 || b.Hi == rows {
+			continue // last block of its group keeps the remainder
 		}
+		interior++
+		if (b.Len()*cols*8)%ps != 0 {
+			t.Errorf("block %+v spans %d bytes, not a page multiple", b, b.Len()*cols*8)
+		}
+	}
+	if interior == 0 {
+		t.Fatalf("no group holds more than one block (group height %d)", gr)
 	}
 }
 
@@ -63,7 +73,7 @@ func TestPartitionIsPageAligned(t *testing.T) {
 // the reduce result is bit-identical for every worker count, because
 // the partition and merge order never consult it.
 func TestMapReduceDeterministicAcrossWorkers(t *testing.T) {
-	blocks := exec.Partition(10000, 8, 4096)
+	blocks := exec.RowScan{Rows: 10000, Cols: 1, BlockBytes: 4096}.Blocks()
 	run := func(workers int) float64 {
 		sum, _ := exec.MapReduce(context.Background(), blocks, workers,
 			func() *float64 { return new(float64) }, nil,
@@ -305,7 +315,7 @@ func TestForEachRowParallelVisitsAllRows(t *testing.T) {
 // TestMapReduceCancellation: a cancelled context stops the sequential
 // path before the next block and surfaces ctx.Err().
 func TestMapReduceCancellation(t *testing.T) {
-	blocks := exec.Partition(1000, 8, 4096)
+	blocks := exec.RowScan{Rows: 1000, Cols: 1, BlockBytes: 4096}.Blocks()
 	if len(blocks) < 2 {
 		t.Fatalf("want multiple blocks, got %d", len(blocks))
 	}

@@ -56,7 +56,7 @@ func TestGroupRowsDerivation(t *testing.T) {
 
 // TestBlocksRespectGroupBoundaries: no block straddles a merge-group
 // boundary, the pattern restarts at each boundary, and the partition
-// still tiles [0, rows) exactly.
+// still tiles [0, rows) exactly with non-empty blocks.
 func TestBlocksRespectGroupBoundaries(t *testing.T) {
 	for _, tc := range []struct{ rows, cols, blockBytes int }{
 		{100, 8, 0},
@@ -69,8 +69,8 @@ func TestBlocksRespectGroupBoundaries(t *testing.T) {
 		gr := exec.GroupRows(tc.rows)
 		prev := 0
 		for _, b := range s.Blocks() {
-			if b.Lo != prev {
-				t.Fatalf("rows=%d: gap/overlap at %d (want %d)", tc.rows, b.Lo, prev)
+			if b.Lo != prev || b.Hi <= b.Lo {
+				t.Fatalf("rows=%d: bad block [%d,%d) after %d", tc.rows, b.Lo, b.Hi, prev)
 			}
 			if b.Lo/gr != (b.Hi-1)/gr {
 				t.Fatalf("rows=%d: block [%d,%d) straddles group boundary (group height %d)", tc.rows, b.Lo, b.Hi, gr)

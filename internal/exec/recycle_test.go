@@ -121,9 +121,9 @@ func TestScanAllocatesAWindowNotARow(t *testing.T) {
 }
 
 // TestMapReduceRecyclesBlockStates is the same bound one layer down,
-// where PageRank and the dataset writer sit.
+// where the dataset generator sits.
 func TestMapReduceRecyclesBlockStates(t *testing.T) {
-	blocks := exec.Partition(1<<16, 8, 4096)
+	blocks := exec.RowScan{Rows: 1 << 16, Cols: 1, BlockBytes: 4096}.Blocks()
 	sum := func(workers int, reset func(*float64)) (float64, int64) {
 		var allocs atomic.Int64
 		got, err := exec.MapReduce(context.Background(), blocks, workers,

@@ -55,8 +55,8 @@ type fusedView struct {
 //
 // Blocked scans (Scan/ScanCtx and everything built on them:
 // ForEachRowParallel, exec.ReduceRows/ReduceRowBlocks/ForEachRow) and
-// the sequential row reads (ForEachRow, Row, At, MulVec, MulTransVec,
-// Clone, Equal) all see transformed data; blocked reductions over a
+// the sequential row reads (ForEachRow, Row, At, MulVec, Clone,
+// Equal) all see transformed data; blocked reductions over a
 // fused view are bit-identical to the same reduction over the
 // materialized transform output. Fusing over an already-fused src
 // composes the chains. Writes and raw-aliasing accessors (Set,
@@ -375,39 +375,6 @@ func (d *Dense) MulVec(y, x []float64) (stall float64) {
 	return d.ForEachRow(func(i int, row []float64) {
 		y[i] = blas.Dot(row, x)
 	})
-}
-
-// MulTransVec computes y = Aᵀ·x, still scanning A in row order so the
-// access pattern remains sequential. It returns the simulated stall.
-func (d *Dense) MulTransVec(y, x []float64) (stall float64) {
-	if len(x) != d.rows || len(y) != d.cols {
-		panic(fmt.Sprintf("mat: MulTransVec shapes y[%d] = A(%dx%d)ᵀ·x[%d]", len(y), d.rows, d.cols, len(x)))
-	}
-	blas.Fill(y, 0)
-	return d.ForEachRow(func(i int, row []float64) {
-		blas.Axpy(x[i], row, y)
-	})
-}
-
-// ColTo copies column j into dst (length rows), accounting one
-// element read per row. On a row-major mapped matrix this is the
-// pathological access pattern: every element lives on a different
-// page region, so out-of-core column traversals thrash where row
-// scans stream — the layout lesson behind M3's "store in scan order".
-func (d *Dense) ColTo(j int, dst []float64) (stall float64) {
-	d.noFused("ColTo")
-	if j < 0 || j >= d.cols {
-		panic(fmt.Sprintf("mat: column %d out of %d", j, d.cols))
-	}
-	if len(dst) != d.rows {
-		panic(fmt.Sprintf("mat: ColTo dst length %d, want %d", len(dst), d.rows))
-	}
-	for i := 0; i < d.rows; i++ {
-		idx := d.off + i*d.stride + j
-		stall += d.s.Touch(idx, 1)
-		dst[i] = d.data[idx]
-	}
-	return stall
 }
 
 // Fill sets every element to v, accounting writes row by row.

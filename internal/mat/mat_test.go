@@ -177,19 +177,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulTransVec(t *testing.T) {
-	d := NewDense(2, 3)
-	fillSeq(d)
-	y := make([]float64, 3)
-	d.MulTransVec(y, []float64{1, 1})
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("MulTransVec = %v want %v", y, want)
-		}
-	}
-}
-
 func TestMulVecShapePanics(t *testing.T) {
 	d := NewDense(2, 3)
 	defer func() {
@@ -287,68 +274,6 @@ func TestDenseOverPagedStoreAccountsStalls(t *testing.T) {
 	}
 	if ps.Stats().MajorFaults == 0 {
 		t.Error("no faults recorded")
-	}
-}
-
-func TestColTo(t *testing.T) {
-	d := NewDense(3, 2)
-	fillSeq(d) // [0 1; 2 3; 4 5]
-	col := make([]float64, 3)
-	d.ColTo(1, col)
-	if col[0] != 1 || col[1] != 3 || col[2] != 5 {
-		t.Errorf("ColTo = %v", col)
-	}
-	for _, bad := range []func(){
-		func() { d.ColTo(2, col) },
-		func() { d.ColTo(0, make([]float64, 2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}
-
-func TestColumnTraversalThrashesPagedStore(t *testing.T) {
-	// Row-major matrix, tiny page cache: a full column traversal
-	// must fault far more than a row scan of the same element count.
-	data := make([]float64, 64*64)
-	newPaged := func() *vm.Paged {
-		ps, err := vm.NewPaged(data, vm.PagedConfig{VM: vm.Config{
-			PageSize:          512, // 64 elements per page = one row
-			CacheBytes:        4 * 512,
-			Disk:              vm.DiskModel{BandwidthBytes: 1e6},
-			MinReadAheadPages: 1, MaxReadAheadPages: 1,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-
-	psRow := newPaged()
-	xRow, err := NewDenseStore(psRow, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xRow.Row(0) // 64 elements along a row: 1 page
-	rowFaults := psRow.Stats().MajorFaults
-
-	psCol := newPaged()
-	xCol, err := NewDenseStore(psCol, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 64)
-	xCol.ColTo(0, dst) // 64 elements down a column: 64 pages
-	colFaults := psCol.Stats().MajorFaults
-
-	if colFaults < 16*rowFaults {
-		t.Errorf("column faults (%d) not dramatically worse than row faults (%d)", colFaults, rowFaults)
 	}
 }
 
