@@ -9,9 +9,11 @@
 //	    -knn neighbors=digits.m3:5:10
 //
 // Requests are micro-batched (-batch rows / -deadline) into single
-// PredictMatrix calls. POST /models/{name}/swap (or SIGHUP, which
-// reloads every file-backed model from its current path) hot-swaps a
-// model with zero dropped requests. SIGTERM/SIGINT drain in-flight
+// PredictMatrix calls: a request to an idle model goes out at once,
+// and requests coalesce only behind a model's in-flight batch.
+// POST /models/{name}/swap (or SIGHUP, which reloads every
+// file-backed model from its current path) hot-swaps a model with
+// zero dropped requests. SIGTERM/SIGINT drain in-flight
 // batches before exit.
 package main
 
@@ -45,7 +47,7 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		batch        = flag.Int("batch", 64, "micro-batch flush threshold in rows")
-		deadline     = flag.Duration("deadline", time.Millisecond, "micro-batch flush deadline (0 = flush when dispatcher is free)")
+		deadline     = flag.Duration("deadline", time.Millisecond, "longest a request waits for company behind a busy model; an idle model never waits (0 = one batch per model in flight)")
 		queue        = flag.Int("queue", 4096, "max rows waiting in the batch queue before requests get 429 (0 = unbounded)")
 		workers      = flag.Int("workers", 0, "engine workers for k-NN scans (0 = NumCPU)")
 		knnMode      = flag.String("knn-mode", "mmap", "k-NN reference table backing: mmap|heap")
@@ -140,9 +142,10 @@ func main() {
 		log.Fatalf("m3serve: %v", err)
 	}
 
-	// Stop accepting, let in-flight handlers finish (their batches
-	// flush within -deadline), ctx-cancel whatever exceeds the
-	// timeout, then retire models so engine mmaps close.
+	// Stop accepting, let in-flight handlers finish (draining flushes
+	// every queued request at once, behind at most its model's
+	// in-flight batches), ctx-cancel whatever exceeds the timeout, then
+	// retire models so engine mmaps close.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -46,48 +47,78 @@ type batchRequest struct {
 // to serving: one pass over a model's reference data (or one fused
 // pipeline view) answers a whole batch instead of one query.
 //
-// Flush policy: a batch flushes when pending rows reach size or when
-// the oldest request has waited delay, whichever comes first — both
-// flag-tunable. A flush takes at most size rows (requests are never
-// split; the remainder stays queued), so size 1 degenerates to a true
-// one-request-per-PredictMatrix server. With delay 0 the dispatcher is
-// greedy: it takes whatever queued while the previous batch was
-// predicting, so batches form under load without adding idle latency.
-// Requests for different models in one flush are split into per-model
-// PredictMatrix calls, each answered by exactly one model snapshot.
+// Each model has its own queue and dispatches its own batches
+// asynchronously, so a busy or stuck model never holds up another
+// model's requests. The flush policy is Nagle's rule (RFC 896) applied
+// to batches: send at once when nothing is outstanding, coalesce only
+// while something is.
+//
+//   - Idle model: a queued request for a model with no batch in flight
+//     is flushed at once, whatever delay is. An idle model never waits.
+//   - Busy model: requests for a model with a batch in flight
+//     accumulate, and flush at once when that batch completes.
+//   - delay > 0 is the longest a request waits for company behind a
+//     busy model: once the oldest queued request has waited delay, or
+//     size rows are queued, the queue is flushed beside the in-flight
+//     batch. A model has at most GOMAXPROCS batches in flight (a
+//     constant, read when the batcher starts); past that, its queue
+//     waits for a completion.
+//   - delay == 0 flushes as soon as the model's dispatcher is free: at
+//     most one batch per model is in flight.
+//
+// A flush takes at most size rows (requests are never split; the
+// remainder stays queued), so size 1 degenerates to a true
+// one-request-per-PredictMatrix server. Admission is global: maxRows
+// caps the rows queued across all models.
 type Batcher struct {
 	size    int
 	delay   time.Duration
 	maxRows int
+	// maxInFlight caps each model's concurrent batches: GOMAXPROCS
+	// with delay > 0, 1 with delay 0.
+	maxInFlight int
 
-	mu     sync.Mutex
-	q      []*batchRequest
-	qrows  int
-	closed bool
-
-	notify chan struct{}
-	done   chan struct{}
+	mu       sync.Mutex
+	queues   map[*Entry]*modelQueue
+	qrows    int // rows queued across all models
+	inflight int // batches in flight across all models
+	closed   bool
+	done     chan struct{} // closed once drained
 }
 
-// NewBatcher starts a batcher flushing at size pending rows or after
-// delay, whichever comes first. size < 1 means 1 (no batching);
-// delay 0 flushes as soon as the dispatcher is free. maxRows bounds
-// the queue: a Submit that would push pending rows past it returns
-// ErrQueueFull (admission control); maxRows <= 0 leaves the queue
-// unbounded.
+// modelQueue is one model's pending requests and its in-flight
+// batches. Entries are per name and never removed, so the batcher
+// holds at most one queue per registered name.
+type modelQueue struct {
+	entry    *Entry
+	q        []*batchRequest
+	rows     int
+	inflight int
+	timer    *time.Timer // fires when q[0] has waited delay
+}
+
+// NewBatcher returns a batcher that flushes an idle model's requests at
+// once and a busy model's after delay or at size pending rows,
+// whichever comes first. size < 1 means 1 (no batching); delay 0
+// allows one batch per model in flight. maxRows bounds the queue: a
+// Submit that would push pending rows past it returns ErrQueueFull
+// (admission control); maxRows <= 0 leaves the queue unbounded.
 func NewBatcher(size int, delay time.Duration, maxRows int) *Batcher {
 	if size < 1 {
 		size = 1
 	}
-	b := &Batcher{
-		size:    size,
-		delay:   delay,
-		maxRows: maxRows,
-		notify:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
+	maxInFlight := 1
+	if delay > 0 {
+		maxInFlight = runtime.GOMAXPROCS(0)
 	}
-	go b.run()
-	return b
+	return &Batcher{
+		size:        size,
+		delay:       delay,
+		maxRows:     maxRows,
+		maxInFlight: maxInFlight,
+		queues:      map[*Entry]*modelQueue{},
+		done:        make(chan struct{}),
+	}
 }
 
 // Submit enqueues a request. On nil error the request's out channel
@@ -97,22 +128,23 @@ func NewBatcher(size int, delay time.Duration, maxRows int) *Batcher {
 // an empty queue — rejecting it forever would deadlock the client.
 func (b *Batcher) Submit(req *batchRequest) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return ErrDraining
 	}
 	if b.maxRows > 0 && b.qrows > 0 && b.qrows+req.n > b.maxRows {
-		b.mu.Unlock()
 		return ErrQueueFull
 	}
 	req.enq = time.Now()
-	b.q = append(b.q, req)
-	b.qrows += req.n
-	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
+	m := b.queues[req.entry]
+	if m == nil {
+		m = &modelQueue{entry: req.entry}
+		b.queues[req.entry] = m
 	}
+	m.q = append(m.q, req)
+	m.rows += req.n
+	b.qrows += req.n
+	b.pumpLocked(m)
 	return nil
 }
 
@@ -128,93 +160,82 @@ func (b *Batcher) QueueRows() int {
 // has been answered. Safe to call more than once.
 func (b *Batcher) Drain() {
 	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
+	if !b.closed {
+		b.closed = true
+		// Nothing waits for company any more.
+		for _, m := range b.queues {
+			b.pumpLocked(m)
+		}
+		b.finishLocked()
 	}
+	b.mu.Unlock()
 	<-b.done
 }
 
-// run is the dispatcher loop: wait for work, optionally linger for a
-// fuller batch, take everything pending, dispatch, repeat. On drain
-// the queue empties before the loop exits, so no request is lost.
-func (b *Batcher) run() {
-	defer close(b.done)
-	for {
-		b.mu.Lock()
-		if b.qrows == 0 {
-			closed := b.closed
-			b.mu.Unlock()
-			if closed {
+// pumpLocked flushes m's queue for as long as the policy allows: at
+// once while m is idle, and beside its in-flight batches (up to
+// maxInFlight) once size rows are queued, the oldest request has
+// waited delay, or the batcher is draining. Otherwise it arms m's
+// timer for the oldest request's deadline. Called with b.mu held.
+func (b *Batcher) pumpLocked(m *modelQueue) {
+	for len(m.q) > 0 && m.inflight < b.maxInFlight {
+		if m.inflight > 0 && m.rows < b.size && !b.closed {
+			if wait := b.delay - time.Since(m.q[0].enq); wait > 0 {
+				if m.timer == nil {
+					m.timer = time.AfterFunc(wait, func() {
+						b.mu.Lock()
+						b.pumpLocked(m)
+						b.mu.Unlock()
+					})
+				} else {
+					m.timer.Reset(wait)
+				}
 				return
 			}
-			<-b.notify
-			continue
-		}
-		for b.qrows < b.size && !b.closed && b.delay > 0 {
-			wait := b.delay - time.Since(b.q[0].enq)
-			if wait <= 0 {
-				break
-			}
-			b.mu.Unlock()
-			timer := time.NewTimer(wait)
-			select {
-			case <-b.notify:
-				timer.Stop()
-			case <-timer.C:
-			}
-			b.mu.Lock()
 		}
 		// Take requests up to the size cap (always at least one; a
 		// request is never split). Anything beyond stays queued for the
 		// next flush, so size 1 really is one request per PredictMatrix.
 		n, taken := 0, 0
-		for n < len(b.q) && (n == 0 || taken < b.size) {
-			taken += b.q[n].n
+		for n < len(m.q) && (n == 0 || taken < b.size) {
+			taken += m.q[n].n
 			n++
 		}
-		batch := b.q[:n:n]
-		b.q = b.q[n:]
+		batch := m.q[:n:n]
+		m.q = m.q[n:]
+		m.rows -= taken
 		b.qrows -= taken
-		b.mu.Unlock()
-		b.dispatch(batch)
+		m.inflight++
+		b.inflight++
+		go b.flush(m, batch)
 	}
 }
 
-// dispatch splits a flushed batch by target entry and predicts each
-// group concurrently.
-func (b *Batcher) dispatch(batch []*batchRequest) {
-	type group struct {
-		entry *Entry
-		reqs  []*batchRequest
-		rows  int
-	}
-	byEntry := map[*Entry]*group{}
-	var order []*group
-	for _, r := range batch {
-		g := byEntry[r.entry]
-		if g == nil {
-			g = &group{entry: r.entry}
-			byEntry[r.entry] = g
-			order = append(order, g)
-		}
-		g.reqs = append(g.reqs, r)
-		g.rows += r.n
-	}
-	var wg sync.WaitGroup
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			dispatchGroup(g.entry, g.reqs)
-		}(g)
-	}
-	wg.Wait()
+// flush answers one batch, then lets m's queue move on.
+func (b *Batcher) flush(m *modelQueue, batch []*batchRequest) {
+	dispatchGroup(m.entry, batch)
+	b.mu.Lock()
+	m.inflight--
+	b.inflight--
+	b.pumpLocked(m)
+	b.finishLocked()
+	b.mu.Unlock()
 }
 
-// dispatchGroup answers one entry's share of a batch with a single
+// finishLocked closes done once a draining batcher has answered every
+// request: nothing queued, nothing in flight. Called with b.mu held.
+func (b *Batcher) finishLocked() {
+	if !b.closed || b.qrows > 0 || b.inflight > 0 {
+		return
+	}
+	select {
+	case <-b.done:
+	default:
+		close(b.done)
+	}
+}
+
+// dispatchGroup answers one model's batch with a single
 // PredictMatrix call on a single model snapshot — a hot-swap landing
 // mid-batch never blends two model generations into one flush, and
 // the old generation's resources stay alive until Release.

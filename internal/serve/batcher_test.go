@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,14 +13,21 @@ import (
 )
 
 // constModel is a fake m3.Model: every prediction is val, calls and
-// rows are counted, and an optional gate blocks PredictMatrix so
-// tests can hold a batch in flight.
+// rows are counted, and the most concurrent PredictMatrix calls are
+// tracked. An optional gate blocks every PredictMatrix call, and an
+// optional hold blocks only the first, so tests can hold a batch in
+// flight.
 type constModel struct {
-	val   float64
-	calls atomic.Int64
-	rows  atomic.Int64
-	gate  chan struct{}
-	fail  error
+	val    float64
+	calls  atomic.Int64
+	rows   atomic.Int64
+	gate   chan struct{}
+	hold   chan struct{}
+	held   atomic.Bool
+	busy   time.Duration // each call sleeps this long
+	active atomic.Int64
+	peak   atomic.Int64 // most concurrent calls seen
+	fail   error
 }
 
 func (m *constModel) Predict(row []float64) float64 { return m.val }
@@ -27,9 +35,17 @@ func (m *constModel) Predict(row []float64) float64 { return m.val }
 func (m *constModel) PredictMatrix(x *mat.Dense) ([]float64, error) {
 	m.calls.Add(1)
 	m.rows.Add(int64(x.Rows()))
+	now := m.active.Add(1)
+	defer m.active.Add(-1)
+	for p := m.peak.Load(); now > p && !m.peak.CompareAndSwap(p, now); p = m.peak.Load() {
+	}
 	if m.gate != nil {
 		<-m.gate
 	}
+	if m.hold != nil && m.held.CompareAndSwap(false, true) {
+		<-m.hold
+	}
+	time.Sleep(m.busy)
 	if m.fail != nil {
 		return nil, m.fail
 	}
@@ -73,6 +89,43 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// holdInFlight puts a one-row batch for e in flight and blocks it in
+// model's first PredictMatrix call, so e's next requests queue behind
+// a busy model. model's call and row counters restart after the held
+// call. The returned release (idempotent) lets the held batch finish
+// and checks its reply; defer it after deferring b.Drain.
+func holdInFlight(t *testing.T, b *Batcher, e *Entry, model *constModel, cols int) (release func()) {
+	t.Helper()
+	model.hold = make(chan struct{})
+	req := newReq(e, 1, cols)
+	if err := b.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	held := false
+	defer func() {
+		if !held { // waitFor failed: let the caller's Drain return
+			close(model.hold)
+		}
+	}()
+	waitFor(t, func() bool { return model.calls.Load() == 1 })
+	held = true
+	model.calls.Store(0)
+	model.rows.Store(0)
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(model.hold)
+			if res := mustReply(t, req); res.err != nil {
+				t.Fatal(res.err)
+			}
+		})
+	}
+}
+
+// roomBeside lets b flush a second batch beside a model's in-flight
+// one even where GOMAXPROCS is 1 and the in-flight cap would be 1.
+func roomBeside(b *Batcher) { b.maxInFlight = max(b.maxInFlight, 2) }
+
 // mustReply reads a request's single reply with a timeout.
 func mustReply(t *testing.T, req *batchRequest) result {
 	t.Helper()
@@ -89,9 +142,13 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	reg := NewRegistry()
 	model := &constModel{val: 7}
 	e := newEntry(t, reg, "m", model, 3)
-	// Deadline far away: only the size threshold can flush.
+	// Deadline far away and the model busy: only the size threshold can
+	// flush, beside the held batch.
 	b := NewBatcher(4, time.Hour, 0)
+	roomBeside(b)
 	defer b.Drain()
+	release := holdInFlight(t, b, e, model, 3)
+	defer release()
 
 	reqs := make([]*batchRequest, 4)
 	for i := range reqs {
@@ -119,9 +176,13 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 	model := &constModel{val: 1}
 	e := newEntry(t, reg, "m", model, 2)
 	const delay = 30 * time.Millisecond
-	// Size threshold unreachable: only the deadline can flush.
+	// Size threshold unreachable and the model busy: only the deadline
+	// can flush, beside the held batch.
 	b := NewBatcher(1<<20, delay, 0)
+	roomBeside(b)
 	defer b.Drain()
+	release := holdInFlight(t, b, e, model, 2)
+	defer release()
 
 	start := time.Now()
 	r1, r2 := newReq(e, 1, 2), newReq(e, 2, 2)
@@ -142,11 +203,13 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 	}
 }
 
+// TestBatcherSingleRequestLatencyBound: a lone request to an idle
+// model is flushed at once, however long delay is — an idle model
+// never waits for company.
 func TestBatcherSingleRequestLatencyBound(t *testing.T) {
 	reg := NewRegistry()
 	e := newEntry(t, reg, "m", &constModel{val: 2}, 1)
-	const delay = 25 * time.Millisecond
-	b := NewBatcher(1<<20, delay, 0)
+	b := NewBatcher(1<<20, time.Hour, 0)
 	defer b.Drain()
 
 	start := time.Now()
@@ -154,13 +217,11 @@ func TestBatcherSingleRequestLatencyBound(t *testing.T) {
 	if err := b.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	mustReply(t, req)
-	elapsed := time.Since(start)
-	if elapsed < delay-time.Millisecond {
-		t.Errorf("lone request answered after %s, before the deadline", elapsed)
+	if res := mustReply(t, req); res.err != nil {
+		t.Fatal(res.err)
 	}
-	if elapsed > 5*time.Second {
-		t.Errorf("lone request waited %s — deadline flush did not fire", elapsed)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("lone request to an idle model waited %s", elapsed)
 	}
 }
 
@@ -189,14 +250,21 @@ func TestBatcherSplitsMixedModelTargets(t *testing.T) {
 	eb := newEntry(t, reg, "b", mb, 2)
 	b := NewBatcher(4, time.Hour, 0)
 	defer b.Drain()
+	releaseA := holdInFlight(t, b, ea, ma, 2)
+	defer releaseA()
+	releaseB := holdInFlight(t, b, eb, mb, 2)
+	defer releaseB()
 
-	// Interleave targets within one flush.
+	// Interleave targets while both models are busy; each model's share
+	// waits for its own completion.
 	reqs := []*batchRequest{newReq(ea, 1, 2), newReq(eb, 1, 2), newReq(ea, 1, 2), newReq(eb, 1, 2)}
 	for _, r := range reqs {
 		if err := b.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	releaseA()
+	releaseB()
 	for i, r := range reqs {
 		res := mustReply(t, r)
 		if res.err != nil {
@@ -207,7 +275,7 @@ func TestBatcherSplitsMixedModelTargets(t *testing.T) {
 			t.Errorf("request %d got %v, want %v", i, res.preds[0], want)
 		}
 	}
-	// One flush, two per-model PredictMatrix calls of 2 rows each.
+	// Two per-model PredictMatrix calls of 2 rows each.
 	if c, r := ma.calls.Load(), ma.rows.Load(); c != 1 || r != 2 {
 		t.Errorf("model a saw %d calls / %d rows", c, r)
 	}
@@ -222,7 +290,10 @@ func TestBatcherRejectsMismatchedWidth(t *testing.T) {
 	e := newEntry(t, reg, "m", model, 3)
 	b := NewBatcher(2, time.Hour, 0)
 	defer b.Drain()
+	release := holdInFlight(t, b, e, model, 3)
+	defer release()
 
+	// Both requests queue behind the held batch and go out together.
 	good, bad := newReq(e, 1, 3), newReq(e, 1, 2)
 	if err := b.Submit(good); err != nil {
 		t.Fatal(err)
@@ -230,6 +301,7 @@ func TestBatcherRejectsMismatchedWidth(t *testing.T) {
 	if err := b.Submit(bad); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	if res := mustReply(t, good); res.err != nil || res.preds[0] != 1 {
 		t.Errorf("good request: %+v", res)
 	}
@@ -262,6 +334,136 @@ func TestBatcherPredictErrorFansOut(t *testing.T) {
 	}
 	if s := e.Metrics().Snapshot(); s.Errors != 2 {
 		t.Errorf("errors = %d, want 2", s.Errors)
+	}
+}
+
+// TestBatcherModelsDoNotBlockEachOther: a model stuck in PredictMatrix
+// holds up only its own queue.
+func TestBatcherModelsDoNotBlockEachOther(t *testing.T) {
+	reg := NewRegistry()
+	ma, mb := &constModel{val: 1}, &constModel{val: 2}
+	ea := newEntry(t, reg, "a", ma, 1)
+	eb := newEntry(t, reg, "b", mb, 1)
+	b := NewBatcher(1<<20, time.Hour, 0)
+	defer b.Drain()
+	release := holdInFlight(t, b, ea, ma, 1)
+	defer release()
+
+	queued := newReq(ea, 1, 1)
+	if err := b.Submit(queued); err != nil {
+		t.Fatal(err)
+	}
+	req := newReq(eb, 1, 1)
+	if err := b.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustReply(t, req); res.err != nil || res.preds[0] != 2 {
+		t.Fatalf("model b's reply: %+v", res)
+	}
+	select {
+	case res := <-queued.out:
+		t.Fatalf("request queued behind the held batch answered early: %+v", res)
+	default:
+	}
+	release()
+	if res := mustReply(t, queued); res.err != nil || res.preds[0] != 1 {
+		t.Fatalf("model a's queued reply: %+v", res)
+	}
+}
+
+// TestBatcherOneBatchInFlightWithZeroDelay: with delay 0, a model has
+// at most one batch in flight however hard it is hammered; what queues
+// behind it goes out when it completes.
+func TestBatcherOneBatchInFlightWithZeroDelay(t *testing.T) {
+	reg := NewRegistry()
+	model := &constModel{val: 3, busy: 100 * time.Microsecond}
+	e := newEntry(t, reg, "m", model, 1)
+	b := NewBatcher(4, 0, 0)
+	defer b.Drain()
+
+	const submitters, each = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				req := newReq(e, 1, 1)
+				if err := b.Submit(req); err != nil {
+					t.Error(err)
+					return
+				}
+				if res := <-req.out; res.err != nil || res.preds[0] != 3 {
+					t.Errorf("reply: %+v", res)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := model.peak.Load(); p != 1 {
+		t.Errorf("%d PredictMatrix calls ran at once, want 1", p)
+	}
+	if r := model.rows.Load(); r != submitters*each {
+		t.Errorf("model saw %d rows, want %d", r, submitters*each)
+	}
+}
+
+// TestBatcherInFlightBound: requests that wait delay behind a stuck
+// model go out beside it, but never more than GOMAXPROCS batches at
+// once; the rest queue, and every request is answered once the model
+// unblocks.
+func TestBatcherInFlightBound(t *testing.T) {
+	reg := NewRegistry()
+	gate := make(chan struct{})
+	model := &constModel{val: 1, gate: gate}
+	e := newEntry(t, reg, "m", model, 1)
+	const delay = time.Millisecond
+	b := NewBatcher(1<<20, delay, 0)
+	defer b.Drain()
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	defer open()
+	procs := runtime.GOMAXPROCS(0)
+
+	// Fill every slot, one request at a time: each waits delay behind
+	// the stuck batches and goes out beside them.
+	var reqs []*batchRequest
+	for i := 1; i <= procs; i++ {
+		req := newReq(e, 1, 1)
+		if err := b.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+		waitFor(t, func() bool { return model.calls.Load() == int64(i) })
+	}
+	// Past the cap, requests queue however long they wait.
+	for i := 0; i < 3; i++ {
+		req := newReq(e, 1, 1)
+		if err := b.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	time.Sleep(10 * delay)
+	if c := model.calls.Load(); c != int64(procs) {
+		t.Errorf("%d batches in flight, want the cap of %d", c, procs)
+	}
+	if q := b.QueueRows(); q != 3 {
+		t.Errorf("QueueRows = %d, want 3", q)
+	}
+
+	open()
+	for _, r := range reqs {
+		if res := mustReply(t, r); res.err != nil {
+			t.Fatal(res.err)
+		}
+	}
+	if p := model.peak.Load(); p > int64(procs) {
+		t.Errorf("%d batches ran at once, want at most GOMAXPROCS = %d", p, procs)
+	}
+	if r := model.rows.Load(); r != int64(len(reqs)) {
+		t.Errorf("model saw %d rows, want %d", r, len(reqs))
 	}
 }
 

@@ -11,8 +11,9 @@
 //     mmap backing a k-NN table) closed only after the last in-flight
 //     batch releases them.
 //   - Batcher: accumulates requests and flushes them as single
-//     PredictMatrix calls (micro-batching), splitting mixed-model
-//     flushes into per-model groups.
+//     PredictMatrix calls (micro-batching), one queue per model: an
+//     idle model's request goes out at once, and requests coalesce
+//     only behind a model's in-flight batch.
 //   - Metrics: per-model request/error counts, batch-size histogram
 //     and p50/p90/p99 latency at GET /metrics — Prometheus text by
 //     default (through a per-server obs.Registry that also folds in
@@ -73,11 +74,12 @@ const maxBodyBytes = 64 << 20
 
 // Config tunes the server's micro-batcher.
 type Config struct {
-	// BatchSize flushes a batch when this many rows are pending
-	// (minimum 1).
+	// BatchSize caps the rows of one flush, and flushes a busy
+	// model's queue once this many rows are pending (minimum 1).
 	BatchSize int
-	// BatchDelay flushes a smaller batch once its oldest request has
-	// waited this long; 0 flushes as soon as the dispatcher is free.
+	// BatchDelay is the longest a request waits for company behind a
+	// busy model; an idle model never waits. 0 flushes as soon as the
+	// model's dispatcher is free (one batch per model in flight).
 	BatchDelay time.Duration
 	// QueueRows caps the rows waiting in the batcher queue; a request
 	// that would exceed it is refused with HTTP 429 instead of queued
