@@ -8,15 +8,22 @@
 // The scan runs blocked on the shared chunked-execution layer
 // (internal/exec): reference blocks stream on a worker pool, each
 // block keeps its own per-query bounded heaps, and block heaps merge
-// in ascending block order — so results are identical for every
-// worker count and every storage backend, and blas.NearestRow-style
-// batch queries parallelize over the reference matrix.
+// in ascending block order. Each query's arithmetic is pruned against
+// one bound shared by every block and worker of the search: the
+// nearest k-th distance any full heap has held so far, so a row
+// farther than that is abandoned at the first partial-sum check that
+// passes it. The bound only drops rows that cannot be in the answer,
+// so results are identical for every worker count, every storage
+// backend and every schedule; only the amount of arithmetic depends on
+// timing.
 package knn
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 
 	"m3/internal/blas"
 	"m3/internal/exec"
@@ -46,8 +53,31 @@ type heapSet struct {
 
 // Search finds the k nearest reference rows for each query row using
 // one blocked scan of refs on the shared execution layer. Results per
-// query are sorted by ascending distance (ties by index). ctx cancels
-// the scan within one reference block.
+// query are sorted by ascending distance (ties by index; a NaN
+// distance sorts after every number). ctx cancels the scan within one
+// reference block.
+//
+// Each query has a prune bound B, shared by every block and worker of
+// the search: the smallest k-th-nearest distance any full block,
+// group or root heap has held so far. It starts at +Inf and only
+// falls.
+//   - Publishing: a block publishes after its Block callback, the
+//     reducer after every Merge into a group or root state. A publish
+//     is a CAS-min of the heap top's distance, made only when that heap
+//     holds k rows. A NaN top never publishes (w < old is false).
+//   - Filling a heap (fewer than k kept): d2 = SqDistBounded(row, q, B),
+//     pushed unless d2 > B. With B = +Inf this is an unbounded scan; a
+//     NaN distance is pushed.
+//   - Full heap with top distance worst: bound = min(worst, B) (B when
+//     worst is NaN), and the row replaces the top iff it sorts before
+//     worst and !(d2 > bound).
+//
+// Why it is exact: B is the k-th distance of k real rows, none NaN. A
+// row with distance > B has k rows strictly nearer and cannot be in
+// the answer; a row at exactly B is computed exactly and kept, because
+// it may still win on index. Every row of the true answer therefore
+// survives in its block heap, and the merged top k is the answer of an
+// unpruned scan bit for bit, for any worker count and any timing.
 func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) ([][]Neighbor, error) {
 	n, d := refs.Dims()
 	qn, qd := queries.Dims()
@@ -59,13 +89,22 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 	}
 
 	qRows := make([][]float64, qn)
+	bounds := make([]atomic.Uint64, qn) // float64 bits of each query's B
 	for i := 0; i < qn; i++ {
 		qRows[i] = queries.RawRow(i)
+		bounds[i].Store(math.Float64bits(math.Inf(1)))
+	}
+	publish := func(hs *heapSet) {
+		for qi, h := range hs.heaps {
+			if len(h) == k {
+				lower(&bounds[qi], h[0].SqDist)
+			}
+		}
 	}
 	// Per-block bounded max-heaps per query; merged in block order, so
-	// the kept set is the one a single sequential scan would keep. A
-	// merged block's heaps are emptied and filled again, so a search
-	// allocates a heap set per scan worker, not per block.
+	// the kept set is the one a single unpruned sequential scan would
+	// keep. A merged block's heaps are emptied and filled again, so a
+	// search allocates a heap set per scan worker, not per block.
 	acc, _, err := exec.Aggregate[*heapSet]{
 		Name:  "knn neighbors",
 		Alloc: func() *heapSet { return &heapSet{heaps: make([]nheap, qn)} },
@@ -79,19 +118,25 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 				row := block[(ri-lo)*stride : (ri-lo)*stride+d]
 				for qi := range hs.heaps {
 					h := &hs.heaps[qi]
+					bound := math.Float64frombits(bounds[qi].Load())
 					if len(*h) < k {
-						h.push(Neighbor{Index: ri, SqDist: blas.SqDist(row, qRows[qi])})
+						if d2 := blas.SqDistBounded(row, qRows[qi], bound); !(d2 > bound) {
+							h.push(Neighbor{Index: ri, SqDist: d2})
+						}
 						continue
 					}
-					// A row already past the worst kept neighbor is
-					// abandoned mid-scan; a kept one (strictly nearer)
-					// has its exact distance, so the heap is unchanged.
+					// A row past the bound is abandoned mid-scan; a
+					// kept one (within it) has its exact distance.
 					worst := (*h)[0].SqDist
-					if d2 := blas.SqDistBounded(row, qRows[qi], worst); d2 < worst {
+					if worst < bound {
+						bound = worst
+					}
+					if d2 := blas.SqDistBounded(row, qRows[qi], bound); !(d2 > bound) && nearer(d2, worst) {
 						h.replaceTop(Neighbor{Index: ri, SqDist: d2})
 					}
 				}
 			}
+			publish(hs)
 		},
 		Merge: func(dst, src *heapSet) {
 			for qi := range dst.heaps {
@@ -99,11 +144,12 @@ func Search(ctx context.Context, refs, queries *mat.Dense, k int, opts Options) 
 				for _, nb := range src.heaps[qi] {
 					if len(*h) < k {
 						h.push(nb)
-					} else if nb.SqDist < (*h)[0].SqDist {
+					} else if nearer(nb.SqDist, (*h)[0].SqDist) {
 						h.replaceTop(nb)
 					}
 				}
 			}
+			publish(dst)
 		},
 	}.Reduce(refs.ScanCtx(ctx, opts.Workers))
 	if err != nil {
@@ -148,12 +194,29 @@ func Classify(ctx context.Context, refs *mat.Dense, labels []int, queries *mat.D
 	return out, nil
 }
 
-// before is the result order: nearer first, exact distance ties by
-// lower reference index.
+// lower lowers the prune bound b (float64 bits) to w, if w is smaller.
+func lower(b *atomic.Uint64, w float64) {
+	for {
+		old := b.Load()
+		if !(w < math.Float64frombits(old)) || b.CompareAndSwap(old, math.Float64bits(w)) {
+			return
+		}
+	}
+}
+
+// nearer orders distances with NaN after every number, +Inf included,
+// so that before is a total order: a NaN can neither freeze a heap nor
+// hide the rows beneath it.
+func nearer(a, b float64) bool { return a < b || math.IsNaN(b) && !math.IsNaN(a) }
+
+// before is the result order: nearer first, equal distances by lower
+// reference index.
 func (n Neighbor) before(o Neighbor) bool {
-	//m3vet:allow floateq -- deterministic ordering needs exact distance ties
-	if n.SqDist != o.SqDist {
-		return n.SqDist < o.SqDist
+	if nearer(n.SqDist, o.SqDist) {
+		return true
+	}
+	if nearer(o.SqDist, n.SqDist) {
+		return false
 	}
 	return n.Index < o.Index
 }
